@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) of the primitive operations:
 // xnor/popcount convolution throughput (one series per registered
-// kernel variant), codec encode/decode rates (bit-serial reference vs
-// the table-driven multi-symbol path), frequency analysis and the bit
-// stream - the building blocks whose costs the timing model abstracts.
+// kernel variant and 3x3 shape of the paper model), codec encode/decode
+// rates (bit-serial reference vs the table-driven multi-symbol path),
+// frequency analysis and the bit stream - the building blocks whose
+// costs the timing model abstracts.
 //
 // Every dispatchable variant is gated by a bit-identity self-check
 // against its scalar reference before any timing runs, so a number in
@@ -14,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -26,11 +28,15 @@ namespace {
 
 using namespace bkc;
 
-bnn::PackedKernel make_kernel(std::int64_t channels, std::uint64_t seed) {
+bnn::PackedKernel make_kernel(const KernelShape& shape, std::uint64_t seed) {
   bnn::WeightGenerator gen(seed);
   const auto dist =
       bnn::SequenceDistribution::fitted({0.645, 0.951});
-  return gen.sample_kernel3x3(channels, channels, dist);
+  return gen.sample_kernel3x3(shape.out_channels, shape.in_channels, dist);
+}
+
+bnn::PackedKernel make_kernel(std::int64_t channels, std::uint64_t seed) {
+  return make_kernel(KernelShape{channels, channels, 3, 3}, seed);
 }
 
 bool bit_identical(const Tensor& a, const Tensor& b) {
@@ -39,37 +45,80 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
                      a.data().size_bytes()) == 0;
 }
 
-// One series per registered conv kernel, pinned via the override so
-// every variant is measured from the same binary. The 96-channel arg is
-// the tail-mask case (1.5 words per pixel); the others are full words.
-void BM_BinaryConv3x3(benchmark::State& state,
-                      const bnn::ConvKernelInfo& info) {
-  const std::int64_t channels = state.range(0);
-  const std::int64_t size = 14;
-  bnn::WeightGenerator gen(3);
-  const auto input =
-      bnn::pack_feature(gen.sample_activation({channels, size, size}));
-  const auto kernel = make_kernel(channels, 5);
-  const ConvGeometry geometry{.stride = 1, .padding = 1};
+// One series per (registered conv kernel, distinct 3x3 shape of the
+// paper model at 64x64 and 224x224 input), pinned via the override so
+// every variant is measured from the same binary on the shapes the
+// model actually runs. Input shape, geometry and MACs come from
+// op_records(); the input is packed once with its halo, so the timed
+// loop is the kernel alone at one thread.
+struct Conv3x3Shape {
+  FeatureShape input;
+  KernelShape kernel;
+  ConvGeometry geometry;
+  std::uint64_t macs = 0;
 
-  Tensor reference;
+  std::string label() const {
+    // Appended piecewise: gcc 12 raises a false -Wrestrict on chained
+    // string operator+ here.
+    std::string s = "c";
+    s += std::to_string(input.channels);
+    s += '_';
+    s += std::to_string(input.height);
+    s += 'x';
+    s += std::to_string(input.width);
+    s += "_s";
+    s += std::to_string(geometry.stride);
+    return s;
+  }
+};
+
+std::vector<Conv3x3Shape> paper_conv3x3_shapes() {
+  std::vector<Conv3x3Shape> shapes;
+  for (const std::int64_t size : {64, 224}) {
+    bnn::ReActNetConfig config = bnn::paper_reactnet_config();
+    config.input_size = size;
+    for (const bnn::OpRecord& r : bnn::op_records_for(config)) {
+      if (r.op_class != bnn::OpClass::kConv3x3) continue;
+      const Conv3x3Shape shape{r.input_shape, r.kernel_shape, r.geometry,
+                               r.macs};
+      const bool seen = std::any_of(
+          shapes.begin(), shapes.end(),
+          [&](const Conv3x3Shape& s) { return s.label() == shape.label(); });
+      if (!seen) shapes.push_back(shape);
+    }
+  }
+  return shapes;
+}
+
+void BM_BinaryConv3x3(benchmark::State& state,
+                      const bnn::ConvKernelInfo& info,
+                      const Conv3x3Shape& shape) {
+  bnn::WeightGenerator gen(3);
+  bnn::PackedFeature input;
+  bnn::pack_feature_into(gen.sample_activation(shape.input), input,
+                         shape.geometry.padding);
+  const auto kernel = make_kernel(shape.kernel, 5);
+  Tensor out(shape.geometry.output_shape(shape.input, shape.kernel));
+
+  Tensor reference(out.shape());
   {
     bnn::ScopedConvKernelOverride pin(bnn::scalar_conv_kernel());
-    reference = bnn::binary_conv2d(input, kernel, geometry);
+    bnn::binary_conv2d_into(input, kernel, shape.geometry, reference);
   }
   bnn::ScopedConvKernelOverride pin(info);
-  if (!bit_identical(bnn::binary_conv2d(input, kernel, geometry),
-                     reference)) {
+  bnn::binary_conv2d_into(input, kernel, shape.geometry, out);
+  if (!bit_identical(out, reference)) {
     state.SkipWithError("kernel variant is not bit-identical to scalar");
     return;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bnn::binary_conv2d(input, kernel, geometry));
+    bnn::binary_conv2d_into(input, kernel, shape.geometry, out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
   }
-  const auto macs = static_cast<double>(
-      channels * channels * 9 * size * size);
   state.counters["GMAC/s"] = benchmark::Counter(
-      macs, benchmark::Counter::kIsIterationInvariantRate,
+      static_cast<double>(shape.macs),
+      benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
 
@@ -163,14 +212,14 @@ BENCHMARK(BM_BitstreamWrite);
 
 void register_variant_benchmarks() {
   for (const bnn::ConvKernelInfo& info : bnn::conv_kernels()) {
-    const std::string name = std::string("BM_BinaryConv3x3/") + info.name;
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [&info](benchmark::State& state) { BM_BinaryConv3x3(state, info); })
-        ->Arg(64)
-        ->Arg(96)  // tail-mask: channels not a multiple of 64
-        ->Arg(128)
-        ->Arg(256);
+    for (const Conv3x3Shape& shape : paper_conv3x3_shapes()) {
+      const std::string name =
+          std::string("BM_BinaryConv3x3/") + info.name + "/" + shape.label();
+      benchmark::RegisterBenchmark(
+          name.c_str(), [&info, shape](benchmark::State& state) {
+            BM_BinaryConv3x3(state, info, shape);
+          });
+    }
   }
   for (const bool multi : {false, true}) {
     const std::string name =

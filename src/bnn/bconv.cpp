@@ -15,7 +15,13 @@ Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
             k_shape.to_string() + ")");
   const FeatureShape out_shape = geometry.output_shape(in_shape, k_shape);
   Tensor out(out_shape);
-  binary_conv2d_into(input, kernel, geometry, out);
+  if (input.halo() < geometry.padding) {
+    PackedFeature padded;
+    pack_feature_into(unpack_feature(input), padded, geometry.padding);
+    binary_conv2d_into(padded, kernel, geometry, out);
+  } else {
+    binary_conv2d_into(input, kernel, geometry, out);
+  }
   return out;
 }
 
@@ -29,6 +35,13 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
       geometry.output_shape(input.shape(), kernel.shape());
   check(out.shape() == out_shape,
         "binary_conv2d_into: out view does not have the output shape");
+  if (input.halo() < geometry.padding) {
+    throw CheckError("binary_conv2d_into: input halo " +
+                     std::to_string(input.halo()) +
+                     " is narrower than the conv padding " +
+                     std::to_string(geometry.padding) +
+                     "; pack with halo >= padding");
+  }
 
   // Dispatch is resolved once, on the calling thread; every chunk runs
   // the same kernel. Output channels are independent (each one reads
@@ -38,15 +51,7 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
   // results bit-identical at any thread count *and* for any registered
   // kernel (the contract tests/test_bconv_simd.cpp enforces).
   const ConvKernelFn fn = active_conv_kernel().fn;
-  const int num_threads = current_num_threads();
-  if (num_threads <= 1) {
-    // Serial case bypasses parallel_for: constructing its std::function
-    // argument can heap-allocate, which the zero-allocation classify
-    // contract forbids. Same arithmetic, same full channel range.
-    fn(input, kernel, geometry, out, 0, out_shape.channels);
-    return;
-  }
-  parallel_for(out_shape.channels, num_threads,
+  parallel_for(out_shape.channels, current_num_threads(),
                [&](std::int64_t o_begin, std::int64_t o_end) {
                  fn(input, kernel, geometry, out, o_begin, o_end);
                });
@@ -54,7 +59,9 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
 
 Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
                      ConvGeometry geometry) {
-  return binary_conv2d(pack_feature(input), kernel, geometry);
+  PackedFeature packed;
+  pack_feature_into(input, packed, geometry.padding);
+  return binary_conv2d(packed, kernel, geometry);
 }
 
 std::int64_t binary_conv2d_word_ops(const FeatureShape& input,

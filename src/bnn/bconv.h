@@ -9,7 +9,10 @@
 //
 // Spatial padding follows the paper (Sec IV-B): padded positions hold
 // the value -1 (stored bit 0) and *do* contribute to the dot product,
-// exactly like the reference convolution with pad_value = -1.
+// exactly like the reference convolution with pad_value = -1. The
+// padded input is materialized by packing with a halo (bnn/bitpack.h):
+// its zero rim is the -1 padding, so the convolution never needs a
+// bounds test.
 
 #include "bnn/bitpack.h"
 #include "tensor/tensor.h"
@@ -29,20 +32,25 @@ namespace bkc::bnn {
 /// supports (bnn/bconv_kernels.h: AVX2 today, scalar reference
 /// otherwise); every kernel is bit-identical to the scalar path, and
 /// BKC_FORCE_SCALAR / -DBKC_DISABLE_SIMD pin the reference.
+///
+/// An input whose halo is narrower than the padding is re-packed with a
+/// halo of `geometry.padding` first, so any PackedFeature works here.
 Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
                      ConvGeometry geometry);
 
-/// Convenience wrapper: binarize + pack a float input, then convolve.
+/// Convenience wrapper: binarize + pack a float input (with a halo of
+/// `geometry.padding`), then convolve.
 Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
                      ConvGeometry geometry);
 
-/// Allocation-free core the Tensor-returning overload wraps: convolve
+/// Allocation-free core the Tensor-returning overloads wrap: convolve
 /// into caller-provided storage of exactly the geometry's output shape
-/// (CheckError otherwise). The caller owns the pack scratch (typically
-/// the Workspace's, filled via pack_feature_into). When
-/// current_num_threads() is 1 the kernel is invoked directly — no
-/// parallel_for, no std::function — so the single-thread path performs
-/// zero heap allocations.
+/// (CheckError otherwise). `input` must have been packed with
+/// halo >= geometry.padding (CheckError naming both otherwise); the
+/// caller owns the pack scratch (typically the Workspace's, filled via
+/// pack_feature_into). The fan-out goes through parallel_for, which
+/// allocates nothing, so every thread count performs zero heap
+/// allocations.
 void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out);
 

@@ -12,14 +12,21 @@
 // tolerance. tests/test_bconv_simd.cpp sweeps that contract across
 // every registered kernel.
 //
-// Fast kernels split the output plane into an interior region - every
-// kernel tap lands in bounds, so the inner loop is branchless and
-// mask-free - and a border rim that reuses the masked scalar per-pixel
-// path. The mask-free interior relies on a bitpack.h layout invariant:
-// storage bits above `channels` in a tail word are always zero in both
-// features and kernels, so the spurious xnor matches they contribute
-// are the *constant* (64 * words - channels) per kernel position,
-// subtracted once per pixel instead of masked once per word.
+// Fast kernels run one branchless, mask-free loop over every output
+// pixel. Two bitpack.h layout invariants make that possible:
+//   * binary_conv2d_into only dispatches inputs packed with
+//     halo >= padding, and the rim words are zero - the -1 padding
+//     value - so every kernel tap of every output pixel reads in-bounds
+//     storage and padded taps agree exactly where the weight bit is 0,
+//     as in the reference;
+//   * storage bits above `channels` in a tail word are zero in both
+//     features and kernels, rim included, so the spurious xnor matches
+//     they contribute are the *constant* (64 * words - channels) per
+//     kernel position, subtracted once per pixel instead of masked once
+//     per word.
+// The scalar reference does not rely on the halo: it bounds-tests
+// every tap in logical coordinates and masks the tail word, so it
+// stays an independent oracle for the fast kernels.
 
 #include <cstdint>
 #include <span>
@@ -33,8 +40,10 @@ namespace bkc::bnn {
 /// into `out` (whose shape is the geometry's output shape). Called from
 /// inside binary_conv2d's parallel_for, so implementations must write
 /// only the rows of their channel range. Preconditions (checked by
-/// binary_conv2d before dispatch): input/kernel channels and packing
-/// match, out has the output shape. `out` is a view so the destination
+/// binary_conv2d_into before dispatch): input/kernel channels and
+/// packing match, out has the output shape, input.halo() >= padding.
+/// The scalar kernel needs no halo at all, so the test suites call it
+/// directly on halo-less packs. `out` is a view so the destination
 /// can live in a Workspace arena (Tensor converts implicitly); kernels
 /// assign every pixel of their range, never read-modify-write, so the
 /// destination may be uninitialised.
@@ -81,16 +90,6 @@ class ScopedConvKernelOverride {
 };
 
 namespace internal {
-
-/// Matches (agreeing weight/input bit pairs) for one output pixel, with
-/// full spatial-padding and channel-tail masking - the scalar reference
-/// arithmetic. base_y/base_x are the top-left input coordinates of the
-/// kernel window (may be negative or out of bounds; padded taps
-/// contribute where the weight bit is 0). Fast kernels call this for
-/// border pixels so every path shares one definition of the edge math.
-std::int64_t scalar_pixel_matches(const PackedFeature& input,
-                                  const PackedKernel& kernel, std::int64_t o,
-                                  std::int64_t base_y, std::int64_t base_x);
 
 #if defined(BKC_HAVE_AVX2)
 /// The AVX2 kernel (defined in bconv_kernels_avx2.cpp, compiled with

@@ -10,19 +10,29 @@ std::uint64_t channel_tail_mask(std::int64_t channels) {
   return rem == 0 ? ~0ULL : ((1ULL << rem) - 1);
 }
 
-PackedFeature::PackedFeature(FeatureShape shape) { reshape(shape); }
+std::int64_t padded_feature_words(const FeatureShape& shape,
+                                  std::int64_t halo) {
+  return words_per_group(shape.channels) * (shape.height + 2 * halo) *
+         (shape.width + 2 * halo);
+}
 
-void PackedFeature::reshape(FeatureShape shape) {
+PackedFeature::PackedFeature(FeatureShape shape, std::int64_t halo) {
+  reshape(shape, halo);
+}
+
+void PackedFeature::reshape(FeatureShape shape, std::int64_t halo) {
   check(shape.channels > 0 && shape.height > 0 && shape.width > 0,
         "PackedFeature::reshape: dimensions must be positive");
+  check(halo >= 0, "PackedFeature::reshape: halo must be non-negative");
   shape_ = shape;
+  halo_ = halo;
   words_per_pixel_ = words_per_group(shape.channels);
   tail_mask_ = channel_tail_mask(shape.channels);
   // assign() reuses capacity when it suffices (the reserve_words
-  // contract); zero-filling restores the tail-word layout invariant.
-  words_.assign(
-      static_cast<std::size_t>(shape.height * shape.width * words_per_pixel_),
-      0);
+  // contract); zero-filling restores both layout invariants (zero tail
+  // lanes, zero rim).
+  words_.assign(static_cast<std::size_t>(padded_feature_words(shape, halo)),
+                0);
 }
 
 void PackedFeature::reserve_words(std::int64_t words) {
@@ -32,10 +42,11 @@ void PackedFeature::reserve_words(std::int64_t words) {
 
 std::span<const std::uint64_t> PackedFeature::at(std::int64_t y,
                                                  std::int64_t x) const {
-  check(y >= 0 && y < shape_.height && x >= 0 && x < shape_.width,
+  check(y >= -halo_ && y < shape_.height + halo_ && x >= -halo_ &&
+            x < shape_.width + halo_,
         "PackedFeature::at out of range");
-  const auto offset =
-      static_cast<std::size_t>((y * shape_.width + x) * words_per_pixel_);
+  const auto offset = static_cast<std::size_t>(
+      ((y + halo_) * padded_width() + x + halo_) * words_per_pixel_);
   return {words_.data() + offset,
           static_cast<std::size_t>(words_per_pixel_)};
 }
@@ -56,6 +67,8 @@ void PackedFeature::set_bit(std::int64_t c, std::int64_t y, std::int64_t x,
                             int value) {
   check(c >= 0 && c < shape_.channels, "PackedFeature::set_bit channel range");
   check(value == 0 || value == 1, "PackedFeature::set_bit value must be 0/1");
+  check(y >= 0 && y < shape_.height && x >= 0 && x < shape_.width,
+        "PackedFeature::set_bit pixel outside the shape");
   auto view = at(y, x);
   auto& word = view[static_cast<std::size_t>(c / kWordBits)];
   const std::uint64_t mask = 1ULL << (c % kWordBits);
@@ -125,24 +138,28 @@ PackedFeature pack_feature(const Tensor& input) {
   return packed;
 }
 
-void pack_feature_into(ConstTensorView input, PackedFeature& out) {
-  out.reshape(input.shape());
+void pack_feature_into(ConstTensorView input, PackedFeature& out,
+                       std::int64_t halo) {
+  out.reshape(input.shape(), halo);
   const FeatureShape& s = input.shape();
-  const std::int64_t pixels = s.height * s.width;
   const std::int64_t wpp = out.words_per_pixel();
-  std::uint64_t* words = out.words().data();
+  const std::int64_t row_words = out.padded_width() * wpp;
+  std::uint64_t* origin = out.at(0, 0).data();
   const float* data = input.data().data();
   // Channel-major like the CHW input: each channel contributes one bit
   // lane, OR'd over its whole spatial plane with sequential float
-  // reads. Words start zeroed (reshape), so OR alone builds the map
-  // and the tail invariant (bits above `channels` stay zero) holds by
-  // construction.
+  // reads. Words start zeroed (reshape), so OR alone builds the map,
+  // and both invariants (zero tail lanes, zero rim) hold by
+  // construction: only logical pixels' valid lanes are ever written.
   for (std::int64_t c = 0; c < s.channels; ++c) {
     const std::uint64_t mask = 1ULL << (c % kWordBits);
-    std::uint64_t* word = words + c / kWordBits;
-    const float* plane = data + c * pixels;
-    for (std::int64_t p = 0; p < pixels; ++p) {
-      word[p * wpp] |= plane[p] >= 0.0f ? mask : 0;
+    const float* plane = data + c * s.height * s.width;
+    for (std::int64_t y = 0; y < s.height; ++y) {
+      std::uint64_t* word = origin + y * row_words + c / kWordBits;
+      const float* row = plane + y * s.width;
+      for (std::int64_t x = 0; x < s.width; ++x) {
+        word[x * wpp] |= row[x] >= 0.0f ? mask : 0;
+      }
     }
   }
 }

@@ -13,12 +13,17 @@
 // block uses a partial word; the general case is still fully supported
 // and tested.)
 //
-// Layout invariant: storage bits above `channels` in the tail word are
-// always zero - the constructors zero-fill and set_bit touches valid
-// lanes only. The mask-free interior loops of the fast convolution
-// kernels (bnn/bconv_kernels.h) rely on this: with both operands zero
-// there, every masked-off lane contributes a constant xnor agreement
-// instead of needing a per-word mask.
+// Layout invariants (the fast convolution kernels in
+// bnn/bconv_kernels.h are mask-free and branch-free because of them):
+//   * Storage bits above `channels` in the tail word are always zero -
+//     the constructors zero-fill and set_bit touches valid lanes only.
+//     With both operands zero there, every masked-off lane contributes a
+//     constant xnor agreement instead of needing a per-word mask.
+//   * A feature may carry a spatial halo of `h` pixels on every side:
+//     storage is (H + 2h) x (W + 2h) pixels and every rim word is zero.
+//     A stored 0 encodes -1, which is exactly the paper's padding value
+//     (Sec IV-B), so a feature packed with halo >= padding *is* the
+//     padded conv input and every output pixel reads in-bounds words.
 
 #include <cstdint>
 #include <span>
@@ -46,48 +51,63 @@ class PackedFeature {
  public:
   PackedFeature() = default;
 
-  /// Zero-initialised (all weights -1) packed map of the given shape.
-  explicit PackedFeature(FeatureShape shape);
+  /// Zero-initialised (all values -1) packed map of the given shape,
+  /// surrounded by a zero rim of `halo` pixels.
+  explicit PackedFeature(FeatureShape shape, std::int64_t halo = 0);
 
-  /// Re-dimension in place to `shape`, zeroing all words. Reuses the
-  /// existing word storage when it is large enough (see
-  /// reserve_words), so a Workspace can recycle one PackedFeature as
-  /// pack scratch across every binary conv of a model without heap
-  /// traffic.
-  void reshape(FeatureShape shape);
+  /// Re-dimension in place to `shape` with a `halo`-pixel rim, zeroing
+  /// all words (rim included). Reuses the existing word storage when it
+  /// is large enough (see reserve_words), so a Workspace can recycle one
+  /// PackedFeature as pack scratch across every binary conv of a model
+  /// without heap traffic.
+  void reshape(FeatureShape shape, std::int64_t halo = 0);
 
   /// Pre-grow the word storage so later reshape() calls up to `words`
   /// total words never allocate.
   void reserve_words(std::int64_t words);
 
+  /// Logical shape (the halo is not part of it).
   const FeatureShape& shape() const { return shape_; }
+  std::int64_t halo() const { return halo_; }
+  /// Stored pixels per row: width + 2 * halo.
+  std::int64_t padded_width() const { return shape_.width + 2 * halo_; }
   std::int64_t words_per_pixel() const { return words_per_pixel_; }
   std::uint64_t tail_mask() const { return tail_mask_; }
 
-  /// Words for pixel (y, x), lowest channels in word 0 bit 0.
+  /// Words for pixel (y, x) in logical coordinates, lowest channels in
+  /// word 0 bit 0. Rim pixels are addressable: y in [-halo, height +
+  /// halo), x in [-halo, width + halo).
   std::span<const std::uint64_t> at(std::int64_t y, std::int64_t x) const;
   std::span<std::uint64_t> at(std::int64_t y, std::int64_t x);
 
-  /// Get/set the bit for channel c at (y, x). 1 encodes +1.
+  /// Get/set the bit for channel c at logical pixel (y, x). 1 encodes
+  /// +1. set_bit rejects rim pixels, so the rim stays zero.
   int bit(std::int64_t c, std::int64_t y, std::int64_t x) const;
   void set_bit(std::int64_t c, std::int64_t y, std::int64_t x, int value);
 
   /// Total payload bits actually used (channels * height * width).
   std::int64_t payload_bits() const { return shape_.size(); }
 
-  /// Whole word storage, pixel-major: pixel (y, x) owns words
-  /// [(y*width + x) * words_per_pixel, ...). Writers must preserve the
-  /// layout invariant (tail-word bits above `channels` stay zero);
-  /// pack_feature_into is the intended bulk writer.
+  /// Whole word storage, rim included, pixel-major over the padded
+  /// grid: logical pixel (y, x) owns words
+  /// [((y + halo) * padded_width + x + halo) * words_per_pixel, ...).
+  /// Writers must preserve both layout invariants (tail-word bits above
+  /// `channels` and every rim word stay zero); pack_feature_into is the
+  /// intended bulk writer.
   std::span<const std::uint64_t> words() const { return words_; }
   std::span<std::uint64_t> words() { return words_; }
 
  private:
   FeatureShape shape_;
+  std::int64_t halo_ = 0;
   std::int64_t words_per_pixel_ = 0;
   std::uint64_t tail_mask_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Storage words of a `shape` feature packed with a `halo`-pixel rim.
+std::int64_t padded_feature_words(const FeatureShape& shape,
+                                  std::int64_t halo);
 
 /// A binarized convolution kernel in channel-packed layout.
 class PackedKernel {
@@ -124,17 +144,21 @@ class PackedKernel {
   std::vector<std::uint64_t> words_;
 };
 
-/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map.
-/// Reference implementation: one checked set_bit per element, obviously
-/// correct, used as the bit-identity oracle for pack_feature_into.
+/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map,
+/// without a halo. Reference implementation: one checked set_bit per
+/// element, obviously correct, used as the bit-identity oracle for
+/// pack_feature_into.
 PackedFeature pack_feature(const Tensor& input);
 
 /// Fast pack into caller-provided storage: reshapes `out` to the input
-/// shape (no allocation once storage is reserved) and ORs whole channel
-/// planes into the packed words with one branch-free pass per channel.
-/// Bit-for-bit identical to pack_feature; the arena-backed forward path
-/// packs through here using the Workspace pack scratch.
-void pack_feature_into(ConstTensorView input, PackedFeature& out);
+/// shape with a `halo`-pixel zero rim (no allocation once storage is
+/// reserved) and ORs whole channel planes into the packed words with
+/// one branch-free pass per channel. Every logical pixel is bit-for-bit
+/// identical to pack_feature; the arena-backed forward path packs
+/// through here using the Workspace pack scratch, with halo equal to
+/// the consuming conv's padding.
+void pack_feature_into(ConstTensorView input, PackedFeature& out,
+                       std::int64_t halo = 0);
 
 /// Expand a packed feature back to a +/-1-valued float tensor.
 Tensor unpack_feature(const PackedFeature& packed);

@@ -83,14 +83,20 @@ Tensor BinaryConv2d::forward(const Tensor& input) const {
 void BinaryConv2d::forward_into(ConstTensorView input, TensorView output,
                                 Workspace& workspace) const {
   // The pack scratch is the workspace's shared PackedFeature: reshape
-  // reuses its reserved word storage, so packing allocates nothing.
-  // pack_feature_into binarizes with the same bit = v >= 0 rule as the
-  // legacy binarize + pack two-step, which is also why a preceding
-  // SignActivation can be skipped entirely (Sequential::forward_into
-  // does): sign(v) >= 0 exactly when v >= 0.
+  // reuses its reserved word storage (the plan sizes it for the halo),
+  // so packing allocates nothing. pack_feature_into binarizes with the
+  // same bit = v >= 0 rule as the legacy binarize + pack two-step,
+  // which is also why a preceding SignActivation can be skipped
+  // entirely (Sequential::forward_into does): sign(v) >= 0 exactly
+  // when v >= 0.
   PackedFeature& packed = workspace.pack_scratch();
-  pack_feature_into(input, packed);
-  binary_conv2d_into(packed, kernel_, geometry_, output);
+  pack_feature_into(input, packed, geometry_.padding);
+  forward_packed_into(packed, output);
+}
+
+void BinaryConv2d::forward_packed_into(const PackedFeature& input,
+                                       TensorView output) const {
+  binary_conv2d_into(input, kernel_, geometry_, output);
 }
 
 LayerInfo BinaryConv2d::info(const FeatureShape& input_shape) const {

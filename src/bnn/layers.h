@@ -104,10 +104,15 @@ class BinaryConv2d final : public Layer {
 
   Tensor forward(const Tensor& input) const override;
   /// Packs the input into the workspace's shared pack scratch (caller-
-  /// provided storage, no per-call pack allocation), then convolves
-  /// into `output`.
+  /// provided storage, no per-call pack allocation) with a halo of
+  /// geometry().padding, then convolves into `output`.
   void forward_into(ConstTensorView input, TensorView output,
                     Workspace& workspace) const override;
+  /// Convolve an already packed input (halo >= geometry().padding) into
+  /// `output`: the entry for callers that feed one pack to several
+  /// convs.
+  void forward_packed_into(const PackedFeature& input,
+                           TensorView output) const;
   FeatureShape output_shape(const FeatureShape& input_shape) const override {
     return geometry_.output_shape(input_shape, kernel_.shape());
   }

@@ -19,7 +19,8 @@ std::int64_t float_bytes(std::int64_t count) {
 
 /// activation_floats and pack_words are common to every planner: the
 /// former is the largest activation any op reads or writes, the latter
-/// the largest packed input of any 1-bit conv.
+/// the largest packed input of any 1-bit conv, halo included (each
+/// conv packs with halo = its padding).
 MemoryPlan common_plan(const std::vector<OpRecord>& records) {
   MemoryPlan plan;
   for (const OpRecord& op : records) {
@@ -27,10 +28,9 @@ MemoryPlan common_plan(const std::vector<OpRecord>& records) {
         std::max({plan.activation_floats, op.input_shape.size(),
                   op.output_shape.size()});
     if (op.precision_bits == 1) {
-      const FeatureShape& in = op.input_shape;
-      plan.pack_words =
-          std::max(plan.pack_words,
-                   words_per_group(in.channels) * in.height * in.width);
+      plan.pack_words = std::max(
+          plan.pack_words,
+          padded_feature_words(op.input_shape, op.geometry.padding));
     }
   }
   return plan;

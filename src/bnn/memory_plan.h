@@ -26,7 +26,7 @@
 //     by the worst single consumer (scratch_bytes);
 //   * one PackedFeature reused as pack scratch by every binary conv,
 //     kept outside the arena because its word storage persists across
-//     layers (pack_words sizes its reservation).
+//     layers (pack_words sizes its reservation, halo included).
 //
 // Workspaces are not thread-safe and are never shared: concurrent
 // callers lease one each from a WorkspacePool (Engine holds one pool;
@@ -54,7 +54,8 @@ struct MemoryPlan {
   /// Peak block-local scratch beyond the ping-pong buffers, already
   /// rounded to Arena allocation granules.
   std::int64_t scratch_bytes = 0;
-  /// Word storage for the largest packed input of any binary conv.
+  /// Word storage for the largest packed input of any binary conv,
+  /// including the zero halo it is packed with (halo = padding).
   std::int64_t pack_words = 0;
 
   /// Exact arena capacity a planned forward pass needs — and exactly

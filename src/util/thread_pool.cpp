@@ -64,7 +64,7 @@ void ThreadPool::worker_loop(int worker) {
   }
 }
 
-void ThreadPool::run(int num_tasks, const std::function<void(int)>& task) {
+void ThreadPool::run(int num_tasks, function_ref<void(int)> task) {
   check(num_tasks >= 0, "ThreadPool::run: num_tasks must be >= 0");
   check(!t_on_worker,
         "ThreadPool::run: re-entrant call from a worker thread");
@@ -99,7 +99,7 @@ ThreadPool& ThreadPool::shared() {
 
 void parallel_for(
     std::int64_t total, int num_threads,
-    const std::function<void(std::int64_t begin, std::int64_t end)>& chunk) {
+    function_ref<void(std::int64_t begin, std::int64_t end)> chunk) {
   check(num_threads >= 1, "parallel_for: num_threads must be >= 1");
   if (total <= 0) return;
   const int chunks =

@@ -20,11 +20,47 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace bkc {
+
+template <typename Signature>
+class function_ref;
+
+/// Non-owning reference to a callable: a pointer to it plus a call
+/// thunk, so binding a lambda never allocates (std::function may). The
+/// referenced callable must outlive every call - true for the
+/// parameters below, which are called only before their function
+/// returns.
+template <typename R, typename... Args>
+class function_ref<R(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, function_ref> &&
+             std::is_invocable_r_v<R, F&, Args...>)
+  function_ref(F&& f) noexcept
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return std::invoke(
+              *static_cast<std::add_pointer_t<std::remove_reference_t<F>>>(
+                  object),
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* object_;
+  R (*call_)(void*, Args...);
+};
 
 /// Fixed-size pool of worker threads with a static cyclic task
 /// assignment (task t runs on worker t % num_workers) - work-stealing
@@ -47,8 +83,9 @@ class ThreadPool {
   /// a deterministic choice. Safe to call from multiple threads:
   /// concurrent calls serialize on the pool. Not re-entrant: run()
   /// must not be called from inside a task (parallel_for handles
-  /// nesting by running inline instead).
-  void run(int num_tasks, const std::function<void(int)>& task);
+  /// nesting by running inline instead). Allocates nothing once the
+  /// per-task error slots have grown to `num_tasks`.
+  void run(int num_tasks, function_ref<void(int)> task);
 
   /// True on threads currently executing a ThreadPool task.
   static bool on_worker_thread();
@@ -74,7 +111,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;  ///< bumped once per run() call
   int num_tasks_ = 0;
   int active_workers_ = 0;
-  const std::function<void(int)>* task_ = nullptr;
+  const function_ref<void(int)>* task_ = nullptr;
   std::vector<std::exception_ptr> errors_;  ///< one slot per task
   bool stopping_ = false;
 };
@@ -100,10 +137,11 @@ ChunkBounds chunk_bounds(std::int64_t total, int chunks, int c);
 /// (nested parallelism), the whole range executes inline on the caller
 /// as the single chunk (0, total) - callers must therefore not key work
 /// off the chunk boundaries themselves, only off the indices inside
-/// them. Precondition: num_threads >= 1.
+/// them. Precondition: num_threads >= 1. Allocates nothing once the
+/// shared pool exists and has run a fan-out at least this wide.
 void parallel_for(
     std::int64_t total, int num_threads,
-    const std::function<void(std::int64_t begin, std::int64_t end)>& chunk);
+    function_ref<void(std::int64_t begin, std::int64_t end)> chunk);
 
 /// Thread count consulted by parallel regions buried inside library
 /// internals that take no thread-count parameter of their own (today:

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/support.h"
 
 #include "bnn/binarize.h"
@@ -124,6 +126,36 @@ TEST(BinaryConv, ChannelMismatchThrows) {
   PackedFeature f(FeatureShape{8, 4, 4});
   PackedKernel k(KernelShape{2, 16, 3, 3});
   EXPECT_THROW(binary_conv2d(f, k, {.stride = 1, .padding = 1}), CheckError);
+}
+
+TEST(BinaryConv, IntoRejectsHaloNarrowerThanPadding) {
+  // binary_conv2d_into reads padded taps straight from the halo, so an
+  // input packed with a narrower rim must be refused with both numbers
+  // named rather than read out of bounds.
+  Rng rng(37);
+  const Tensor input = random_pm1_tensor({8, 4, 4}, rng);
+  const WeightTensor weights = random_pm1_weights({2, 8, 3, 3}, rng);
+  PackedFeature packed;
+  pack_feature_into(input, packed, /*halo=*/1);
+  const PackedKernel kernel = pack_kernel(weights);
+  const ConvGeometry geometry{.stride = 1, .padding = 2};
+  Tensor out(FeatureShape{2, 6, 6});
+  try {
+    binary_conv2d_into(packed, kernel, geometry, out);
+    FAIL() << "halo 1 < padding 2 was accepted";
+  } catch (const CheckError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("halo 1"), std::string::npos) << message;
+    EXPECT_NE(message.find("padding 2"), std::string::npos) << message;
+  }
+  // The allocating overload re-packs with the wider halo instead.
+  const Tensor expected =
+      reference_conv2d(input, weights, geometry, /*pad_value=*/-1.0f);
+  const Tensor actual = binary_conv2d(packed, kernel, geometry);
+  ASSERT_EQ(actual.shape(), expected.shape());
+  for (std::size_t i = 0; i < actual.data().size(); ++i) {
+    ASSERT_FLOAT_EQ(actual.data()[i], expected.data()[i]) << "at " << i;
+  }
 }
 
 TEST(BinaryConv, WordOpAccounting) {

@@ -3,10 +3,15 @@
 // the scalar reference for every shape, geometry and thread count - not
 // approximately equal, memcmp-equal. The sweep is deliberately hostile:
 // odd widths, channel counts straddling the 64-lane tail mask, strides
-// and paddings that leave empty interiors, 1x1 next to 3x3.
+// and paddings larger than tiny inputs, 1x1 next to 3x3, and the paper
+// model's own 3x3 shapes. Every case runs on inputs packed with
+// halo == padding and with a wider halo, and is diffed against the
+// scalar kernel on a halo-less pack: the scalar kernel bounds-tests
+// every tap, so it is an oracle that does not rely on the halo.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "bnn/bconv.h"
 #include "bnn/bconv_kernels.h"
 #include "bnn/bitpack.h"
+#include "bnn/reactnet.h"
 #include "support/support.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -27,6 +33,8 @@ const int kThreadCounts[] = {1, 2, 4, 7};
 struct ConvCase {
   std::int64_t channels, height, width, out_channels;
   std::int64_t kernel, stride, padding;
+
+  bool operator==(const ConvCase&) const = default;
 
   std::string label() const {
     std::string s = "c";
@@ -49,8 +57,8 @@ struct ConvCase {
 
 // ~50 shapes. Channel counts bracket every word boundary the tail mask
 // can straddle (63/64/65, 96 = word + half, 127/128/129, multi-word);
-// spatial extents mix odd/even and include inputs so small the
-// mask-free interior of the fast kernels is empty or a single pixel.
+// spatial extents mix odd/even and include inputs so small that every
+// output pixel's window reaches into the padding.
 std::vector<ConvCase> conv_cases() {
   std::vector<ConvCase> cases;
   const std::int64_t tail_channels[] = {1,  17,  63,  64,  65, 96,
@@ -73,10 +81,10 @@ std::vector<ConvCase> conv_cases() {
     cases.push_back({c, 8, 6, 5, 3, 1, 0});
     cases.push_back({c, 6, 8, 5, 3, 1, 2});
   }
-  // Degenerate spatial extents: empty or one-pixel interiors, a
+  // Degenerate spatial extents: windows that all touch the padding, a
   // single-pixel plane, stride larger than the kernel.
-  cases.push_back({70, 2, 2, 3, 3, 1, 1});  // interior empty both axes
-  cases.push_back({70, 3, 3, 3, 3, 1, 1});  // interior exactly one pixel
+  cases.push_back({70, 2, 2, 3, 3, 1, 1});  // no pixel free of padding
+  cases.push_back({70, 3, 3, 3, 3, 1, 1});  // one pixel free of padding
   cases.push_back({64, 1, 1, 4, 1, 1, 0});  // single pixel, 1x1
   cases.push_back({64, 3, 9, 4, 3, 4, 1});  // stride > kernel
   cases.push_back({100, 11, 3, 2, 3, 1, 1});  // tall and narrow
@@ -84,14 +92,39 @@ std::vector<ConvCase> conv_cases() {
   return cases;
 }
 
-void seeded_inputs(const ConvCase& c, std::uint64_t seed,
-                   PackedFeature& feature, PackedKernel& kernel) {
+// The paper model's 3x3 convs at 64x64 and 224x224 input (4x4, 2x2
+// and the stride-2 steps down to 7x7), distinct shapes only, with input
+// shape and geometry taken from op_records(). Output channels are
+// computed independently, so each case keeps only the first 16 to stay
+// fast in the sanitizer builds.
+std::vector<ConvCase> paper_conv3x3_cases() {
+  std::vector<ConvCase> cases;
+  for (const std::int64_t size : {64, 224}) {
+    ReActNetConfig config = paper_reactnet_config();
+    config.input_size = size;
+    for (const OpRecord& r : op_records_for(config)) {
+      if (r.op_class != OpClass::kConv3x3) continue;
+      const ConvCase c{r.input_shape.channels,
+                       r.input_shape.height,
+                       r.input_shape.width,
+                       std::min<std::int64_t>(r.kernel_shape.out_channels, 16),
+                       r.kernel_shape.kernel_h,
+                       r.geometry.stride,
+                       r.geometry.padding};
+      if (std::find(cases.begin(), cases.end(), c) == cases.end()) {
+        cases.push_back(c);
+      }
+    }
+  }
+  return cases;
+}
+
+void seeded_inputs(const ConvCase& c, std::uint64_t seed, Tensor& input,
+                   PackedKernel& kernel) {
   Rng rng(seed);
-  const Tensor input = test::random_pm1_tensor(
-      {c.channels, c.height, c.width}, rng);
+  input = test::random_pm1_tensor({c.channels, c.height, c.width}, rng);
   const WeightTensor weights = test::random_pm1_weights(
       {c.out_channels, c.channels, c.kernel, c.kernel}, rng);
-  feature = pack_feature(input);
   kernel = pack_kernel(weights);
 }
 
@@ -137,30 +170,62 @@ TEST(BconvSimd, OverrideWinsAndRestores) {
   EXPECT_STREQ(active_conv_kernel().name, before);
 }
 
-TEST(BconvSimd, EveryKernelBitIdenticalToScalarAcrossShapesAndThreads) {
-  std::uint64_t seed = 0x51D00000;
-  for (const ConvCase& c : conv_cases()) {
-    PackedFeature feature;
-    PackedKernel kernel;
-    seeded_inputs(c, seed++, feature, kernel);
-    const ConvGeometry geometry{.stride = c.stride, .padding = c.padding};
+// Runs every registered kernel at every thread count on `c`, packed
+// with halo == padding and with halo == padding + 2, and diffs each
+// output against the scalar kernel called directly on a halo-less pack.
+void expect_every_kernel_matches_scalar(const ConvCase& c,
+                                        std::uint64_t seed) {
+  Tensor input;
+  PackedKernel kernel;
+  seeded_inputs(c, seed, input, kernel);
+  const ConvGeometry geometry{.stride = c.stride, .padding = c.padding};
+  const PackedFeature bare = pack_feature(input);
+  Tensor reference(geometry.output_shape(bare.shape(), kernel.shape()));
+  scalar_conv_kernel().fn(bare, kernel, geometry, reference, 0,
+                          c.out_channels);
 
-    Tensor reference;
-    {
-      ScopedConvKernelOverride pin(scalar_conv_kernel());
-      ScopedNumThreads threads(1);
-      reference = binary_conv2d(feature, kernel, geometry);
-    }
+  Tensor out(reference.shape());
+  PackedFeature padded;
+  for (const std::int64_t halo : {c.padding, c.padding + 2}) {
+    pack_feature_into(input, padded, halo);
     for (const ConvKernelInfo& info : conv_kernels()) {
       ScopedConvKernelOverride pin(info);
       for (int threads : kThreadCounts) {
         ScopedNumThreads scoped(threads);
-        const Tensor out = binary_conv2d(feature, kernel, geometry);
+        // A sentinel catches output pixels a kernel never writes.
+        std::fill(out.data().begin(), out.data().end(), -12345.0f);
+        binary_conv2d_into(padded, kernel, geometry, out);
         expect_bit_identical(out, reference,
-                             c.label() + " kernel=" + info.name +
+                             c.label() + " halo=" + std::to_string(halo) +
+                                 " kernel=" + info.name +
                                  " threads=" + std::to_string(threads));
       }
     }
+  }
+}
+
+TEST(BconvSimd, EveryKernelBitIdenticalToScalarAcrossShapesAndThreads) {
+  std::uint64_t seed = 0x51D00000;
+  for (const ConvCase& c : conv_cases()) {
+    expect_every_kernel_matches_scalar(c, seed++);
+  }
+}
+
+TEST(BconvSimd, EveryKernelBitIdenticalToScalarOnPaperConv3x3Shapes) {
+  const std::vector<ConvCase> cases = paper_conv3x3_cases();
+  // 64x64 reaches 4x4 and 2x2; 224x224 steps down to 7x7 by stride 2.
+  const auto has = [&](std::int64_t extent, std::int64_t stride) {
+    return std::any_of(cases.begin(), cases.end(), [&](const ConvCase& c) {
+      return c.height == extent && c.stride == stride;
+    });
+  };
+  EXPECT_TRUE(has(4, 1));
+  EXPECT_TRUE(has(2, 1));
+  EXPECT_TRUE(has(14, 2));
+  EXPECT_TRUE(has(7, 1));
+  std::uint64_t seed = 0x9A9E0000;
+  for (const ConvCase& c : cases) {
+    expect_every_kernel_matches_scalar(c, seed++);
   }
 }
 
@@ -170,9 +235,10 @@ TEST(BconvSimd, ActiveDispatchMatchesForcedScalarOnAnchorShapes) {
   // the forced-scalar run - the user-facing form of the contract.
   for (const ConvCase& c : {ConvCase{96, 8, 8, 6, 3, 1, 1},
                             ConvCase{130, 6, 10, 4, 1, 1, 0}}) {
-    PackedFeature feature;
+    Tensor input;
     PackedKernel kernel;
-    seeded_inputs(c, 0xA11C40 + c.channels, feature, kernel);
+    seeded_inputs(c, 0xA11C40 + c.channels, input, kernel);
+    const PackedFeature feature = pack_feature(input);
     const ConvGeometry geometry{.stride = c.stride, .padding = c.padding};
     Tensor forced;
     {

@@ -193,5 +193,58 @@ TEST(PackFeatureInto, TailWordBitsStayZero) {
   }
 }
 
+TEST(PackFeatureInto, HaloPackMatchesPackFeatureWithZeroRim) {
+  // With a halo, every logical pixel must still equal the halo-less
+  // reference word for word, and every rim word must be zero - the -1
+  // padding the fast conv kernels read without bounds tests - even
+  // when the scratch last held a larger all-ones map.
+  Rng rng(29);
+  PackedFeature scratch;
+  for (const std::int64_t halo : {1, 2, 3}) {
+    for (const FeatureShape& shape :
+         {FeatureShape{1, 3, 5}, FeatureShape{64, 2, 3},
+          FeatureShape{65, 4, 4}, FeatureShape{130, 1, 2}}) {
+      Tensor dirty(FeatureShape{192, 9, 9});
+      for (auto& v : dirty.data()) v = 1.0f;
+      pack_feature_into(dirty, scratch, 1);
+
+      Tensor t(shape);
+      for (auto& v : t.data()) v = static_cast<float>(rng.uniform() - 0.5);
+      pack_feature_into(t, scratch, halo);
+      const PackedFeature expected = pack_feature(t);
+      ASSERT_EQ(scratch.shape(), shape);
+      ASSERT_EQ(scratch.halo(), halo);
+      ASSERT_EQ(scratch.padded_width(), shape.width + 2 * halo);
+      ASSERT_EQ(static_cast<std::int64_t>(scratch.words().size()),
+                padded_feature_words(shape, halo));
+      for (std::int64_t y = -halo; y < shape.height + halo; ++y) {
+        for (std::int64_t x = -halo; x < shape.width + halo; ++x) {
+          const auto words = scratch.at(y, x);
+          const bool rim =
+              y < 0 || y >= shape.height || x < 0 || x >= shape.width;
+          for (std::size_t w = 0; w < words.size(); ++w) {
+            const std::uint64_t want = rim ? 0 : expected.at(y, x)[w];
+            ASSERT_EQ(words[w], want) << "halo " << halo << " pixel (" << y
+                                      << ", " << x << ") word " << w;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedFeature, RimIsAddressableButNotWritable) {
+  PackedFeature f(FeatureShape{70, 2, 3}, 1);
+  EXPECT_EQ(f.at(-1, -1).data(), f.words().data());
+  EXPECT_EQ(f.at(2, 3).data() + f.words_per_pixel(),
+            f.words().data() + f.words().size());
+  EXPECT_EQ(f.bit(69, -1, 3), 0);
+  EXPECT_THROW(f.at(-2, 0), CheckError);
+  EXPECT_THROW(f.at(0, 4), CheckError);
+  EXPECT_THROW(f.set_bit(0, -1, 0, 1), CheckError);
+  EXPECT_THROW(f.set_bit(0, 0, 3, 1), CheckError);
+  EXPECT_THROW(f.reshape(FeatureShape{70, 2, 3}, -1), CheckError);
+}
+
 }  // namespace
 }  // namespace bkc::bnn

@@ -225,15 +225,40 @@ TEST(ReActNetPlan, PlanFieldsMatchTheOpRecordWalk) {
     max_activation = std::max({max_activation, op.input_shape.size(),
                                op.output_shape.size()});
     if (op.precision_bits == 1) {
-      max_pack_words =
-          std::max(max_pack_words, words_per_group(op.input_shape.channels) *
-                                       op.input_shape.height *
-                                       op.input_shape.width);
+      // Each binary conv packs its input with a halo of its padding.
+      const std::int64_t halo = op.geometry.padding;
+      max_pack_words = std::max(
+          max_pack_words, words_per_group(op.input_shape.channels) *
+                              (op.input_shape.height + 2 * halo) *
+                              (op.input_shape.width + 2 * halo));
     }
   }
   EXPECT_EQ(plan.activation_floats, max_activation);
   EXPECT_EQ(plan.pack_words, max_pack_words);
   EXPECT_GT(plan.scratch_bytes, 0);
+}
+
+TEST(ReActNetPlan, PackWordsCoverEveryPaddedConvInput) {
+  // The pack scratch must hold every binary conv's input *with* its
+  // halo, or the reshape inside BinaryConv2d::forward_into would
+  // reallocate and break the zero-allocation contract.
+  ReActNetConfig paper_64 = paper_reactnet_config();
+  paper_64.input_size = 64;
+  for (const ReActNetConfig& config :
+       {test::tiny_config(49), paper_64, paper_reactnet_config()}) {
+    const std::vector<OpRecord> records = op_records_for(config);
+    const MemoryPlan plan = plan_reactnet_forward(records);
+    int binary_convs = 0;
+    for (const OpRecord& op : records) {
+      if (op.precision_bits != 1) continue;
+      ++binary_convs;
+      PackedFeature packed(op.input_shape, op.geometry.padding);
+      EXPECT_LE(static_cast<std::int64_t>(packed.words().size()),
+                plan.pack_words)
+          << op.name << " at input " << config.input_size;
+    }
+    EXPECT_GT(binary_convs, 0);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The zero-allocation contract of the planned forward path, pinned at
 // the strongest possible level: a global operator-new/delete override
 // counts EVERY heap allocation in the process, and a warm
-// Engine::classify_into (pooled workspace, correctly-shaped scores,
-// threads == 1) must perform exactly none.
+// Engine::classify_into (pooled workspace, correctly-shaped scores) must
+// perform exactly none, serial or fanned out across the shared pool.
 //
 // This suite gets its own binary because the override is global to the
 // translation unit's final link — no other suite should run with
@@ -128,6 +128,35 @@ TEST(ZeroAlloc, WarmClassifyIntoAllocatesNothing) {
   EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
                         expected.data().size_bytes()),
             0);
+}
+
+TEST(ZeroAlloc, WarmMultiThreadClassifyIntoAllocatesNothing) {
+  // The intra-op fan-out (parallel_for over each conv's output
+  // channels) binds its chunk callable by reference, so a warm
+  // multi-thread classify allocates nothing either. The warm-up passes
+  // spawn the shared pool and grow its per-task error slots.
+  Engine engine(test::tiny_config(52));
+  engine.compress();
+  bnn::Workspace workspace = engine.make_workspace();
+  bnn::WeightGenerator gen(7);
+  const Tensor image = gen.sample_activation(engine.model().input_shape());
+  Tensor serial;
+  engine.classify_into(image, serial, workspace, 1);
+  for (const int threads : {2, 4}) {
+    Tensor scores;
+    engine.classify_into(image, scores, workspace, threads);
+    engine.classify_into(image, scores, workspace, threads);
+    const std::uint64_t before = allocation_count();
+    constexpr int kPasses = 10;
+    for (int i = 0; i < kPasses; ++i) {
+      engine.classify_into(image, scores, workspace, threads);
+    }
+    EXPECT_EQ(allocation_count() - before, 0u) << "threads " << threads;
+    EXPECT_EQ(std::memcmp(scores.data().data(), serial.data().data(),
+                          serial.data().size_bytes()),
+              0)
+        << "threads " << threads;
+  }
 }
 
 TEST(ZeroAlloc, PooledClassifyStopsAllocatingAfterWarmup) {
