@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "bnn/binarize.h"
 #include "bnn/memory_plan.h"
@@ -125,16 +126,53 @@ void BinaryConv2d::set_kernel(PackedKernel kernel) {
 
 namespace {
 
-/// Symmetric scale so that max |w| maps to 127.
-float symmetric_scale(std::span<const float> values) {
+/// Largest |int8 x int8| product: weights and activations are clamped
+/// to [-127, 127], so every product fits int16 exactly.
+constexpr std::int64_t kMaxInt8Product = 127 * 127;
+
+/// Output channels accumulated together per output pixel: one int32 row
+/// on the stack, so any out_channels runs without heap scratch. The
+/// weight rows are zero-padded to a multiple of the chunk, which gives
+/// the inner loop a constant trip count (eight SSE2 accumulators); the
+/// padded lanes are computed and never stored.
+constexpr std::int64_t kOutChannelChunk = 32;
+
+/// Symmetric scale so that max |v| maps to 127. A NaN or +-inf value
+/// has no int8 code (it would reach a float-to-int8 cast, undefined
+/// behaviour), so it is a CheckError naming the layer and what held it.
+/// The message is built only on that path, which keeps a warm forward
+/// allocation-free.
+float symmetric_scale(std::span<const float> values, const std::string& layer,
+                      const char* what) {
   float max_abs = 0.0f;
-  for (float v : values) max_abs = std::max(max_abs, std::abs(v));
+  bool finite = true;
+  for (float v : values) {
+    const float a = std::abs(v);
+    finite &= a <= std::numeric_limits<float>::max();
+    max_abs = std::max(max_abs, a);
+  }
+  if (!finite) {
+    throw CheckError(layer + ": non-finite " + what +
+                     " (NaN or inf) cannot be quantized");
+  }
   return max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
 }
 
 std::int8_t quantize_value(float v, float scale) {
   const float q = std::round(v / scale);
   return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
+}
+
+/// The exactness precondition of the int32 accumulators: `terms`
+/// products of at most 127^2 each must fit int32.
+void check_int32_exact(std::int64_t terms, const std::string& layer) {
+  check(terms <= std::numeric_limits<std::int32_t>::max() / kMaxInt8Product,
+        layer + ": " + std::to_string(terms) +
+            " int8 products per output could overflow the int32 "
+            "accumulator (at most " +
+            std::to_string(std::numeric_limits<std::int32_t>::max() /
+                           kMaxInt8Product) +
+            ")");
 }
 
 }  // namespace
@@ -149,10 +187,22 @@ Int8Conv2d::Int8Conv2d(std::string name, const WeightTensor& weights,
       op_class_(op_class) {
   check(static_cast<std::int64_t>(bias_.size()) == shape_.out_channels,
         "Int8Conv2d: bias size must equal out_channels");
-  weight_scale_ = symmetric_scale(weights.data());
-  weights_.reserve(static_cast<std::size_t>(weights.size()));
-  for (float v : weights.data()) {
-    weights_.push_back(quantize_value(v, weight_scale_));
+  check_int32_exact(shape_.receptive_size(), name_);
+  weight_scale_ = symmetric_scale(weights.data(), name_, "weight");
+  // Transpose [out][tap] to [tap][padded out] so that one tap's weights
+  // for consecutive output channels are contiguous.
+  const std::int64_t taps = shape_.receptive_size();
+  const std::int64_t outs = shape_.out_channels;
+  padded_outs_ = (outs + kOutChannelChunk - 1) / kOutChannelChunk *
+                 kOutChannelChunk;
+  weights_.assign(static_cast<std::size_t>(taps * padded_outs_), 0);
+  for (std::int64_t o = 0; o < outs; ++o) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      weights_[static_cast<std::size_t>(t * padded_outs_ + o)] =
+          quantize_value(
+              weights.data()[static_cast<std::size_t>(o * taps + t)],
+              weight_scale_);
+    }
   }
 }
 
@@ -188,43 +238,53 @@ void Int8Conv2d::forward_impl(ConstTensorView input, TensorView out,
         "Int8Conv2d: quantization scratch size mismatch");
 
   // Dynamic symmetric activation quantization (padding quantizes to 0).
-  const float in_scale = symmetric_scale(input.data());
+  const float in_scale =
+      symmetric_scale(input.data(), name_, "input activation");
   for (std::size_t i = 0; i < q_input.size(); ++i) {
     q_input[i] = quantize_value(input.data()[i], in_scale);
   }
-  auto q_at = [&](std::int64_t c, std::int64_t y, std::int64_t x) -> int {
-    if (y < 0 || y >= in_shape.height || x < 0 || x >= in_shape.width) {
-      return 0;
-    }
-    return q_input[static_cast<std::size_t>(
-        (c * in_shape.height + y) * in_shape.width + x)];
-  };
-  auto w_at = [&](std::int64_t o, std::int64_t i, std::int64_t ky,
-                  std::int64_t kx) -> int {
-    return weights_[static_cast<std::size_t>(
-        ((o * shape_.in_channels + i) * shape_.kernel_h + ky) *
-            shape_.kernel_w +
-        kx)];
-  };
 
+  const std::int64_t in_h = in_shape.height;
+  const std::int64_t in_w = in_shape.width;
+  const std::int64_t kh = shape_.kernel_h;
+  const std::int64_t kw = shape_.kernel_w;
+  const std::int64_t outs = out_shape.channels;
+  const std::int64_t plane = out_shape.height * out_shape.width;
+  const std::int8_t* q = q_input.data();
+  const float* bias = bias_.data();
+  float* dst = out.data().data();
   const float dequant = weight_scale_ * in_scale;
-  for (std::int64_t o = 0; o < out_shape.channels; ++o) {
-    for (std::int64_t oy = 0; oy < out_shape.height; ++oy) {
-      for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
-        std::int64_t acc = 0;
-        const std::int64_t base_y = oy * geometry_.stride - geometry_.padding;
-        const std::int64_t base_x = ox * geometry_.stride - geometry_.padding;
+  for (std::int64_t oy = 0; oy < out_shape.height; ++oy) {
+    const std::int64_t base_y = oy * geometry_.stride - geometry_.padding;
+    for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
+      const std::int64_t base_x = ox * geometry_.stride - geometry_.padding;
+      const std::int64_t pixel = oy * out_shape.width + ox;
+      for (std::int64_t first = 0; first < outs; first += kOutChannelChunk) {
+        std::int32_t acc[kOutChannelChunk] = {};
         for (std::int64_t i = 0; i < shape_.in_channels; ++i) {
-          for (std::int64_t ky = 0; ky < shape_.kernel_h; ++ky) {
-            for (std::int64_t kx = 0; kx < shape_.kernel_w; ++kx) {
-              acc += static_cast<std::int64_t>(
-                         q_at(i, base_y + ky, base_x + kx)) *
-                     w_at(o, i, ky, kx);
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const std::int64_t y = base_y + ky;
+            if (y < 0 || y >= in_h) continue;
+            for (std::int64_t kx = 0; kx < kw; ++kx) {
+              const std::int64_t x = base_x + kx;
+              if (x < 0 || x >= in_w) continue;
+              const std::int16_t a = q[(i * in_h + y) * in_w + x];
+              const std::int16_t* w =
+                  weights_.data() +
+                  ((i * kh + ky) * kw + kx) * padded_outs_ + first;
+              // |w * a| <= 127^2 fits int16; the int32 sum is exact by
+              // the constructor's bound, so tap order cannot matter.
+              for (std::int64_t o = 0; o < kOutChannelChunk; ++o) {
+                acc[o] += static_cast<std::int16_t>(w[o] * a);
+              }
             }
           }
         }
-        out.at(o, oy, ox) = static_cast<float>(acc) * dequant +
-                            bias_[static_cast<std::size_t>(o)];
+        const std::int64_t count = std::min(kOutChannelChunk, outs - first);
+        for (std::int64_t o = 0; o < count; ++o) {
+          dst[(first + o) * plane + pixel] =
+              static_cast<float>(acc[o]) * dequant + bias[first + o];
+        }
       }
     }
   }
@@ -256,7 +316,8 @@ Int8Linear::Int8Linear(std::string name, std::int64_t in_features,
         "Int8Linear: weight size must be in*out");
   check(static_cast<std::int64_t>(bias_.size()) == out_features,
         "Int8Linear: bias size must equal out_features");
-  weight_scale_ = symmetric_scale(weights);
+  check_int32_exact(in_features, name_);
+  weight_scale_ = symmetric_scale(weights, name_, "weight");
   weights_.reserve(weights.size());
   for (float v : weights) weights_.push_back(quantize_value(v, weight_scale_));
 }
@@ -294,21 +355,23 @@ void Int8Linear::forward_impl(ConstTensorView input, TensorView out,
         "Int8Linear: output view shape mismatch");
   check(q_input.size() == input.data().size(),
         "Int8Linear: quantization scratch size mismatch");
-  const float in_scale = symmetric_scale(input.data());
+  const float in_scale =
+      symmetric_scale(input.data(), name_, "input activation");
   for (std::size_t i = 0; i < q_input.size(); ++i) {
     q_input[i] = quantize_value(input.data()[i], in_scale);
   }
+  const std::int8_t* q = q_input.data();
+  const float* bias = bias_.data();
+  float* dst = out.data().data();
   const float dequant = weight_scale_ * in_scale;
   for (std::int64_t o = 0; o < out_features_; ++o) {
-    std::int64_t acc = 0;
-    const std::size_t row = static_cast<std::size_t>(o * in_features_);
+    const std::int8_t* row = weights_.data() + o * in_features_;
+    // Exact: |product| <= 127^2 and the constructor bounds the count.
+    std::int32_t acc = 0;
     for (std::int64_t i = 0; i < in_features_; ++i) {
-      acc += static_cast<std::int64_t>(
-                 weights_[row + static_cast<std::size_t>(i)]) *
-             q_input[static_cast<std::size_t>(i)];
+      acc += static_cast<std::int16_t>(row[i] * q[i]);
     }
-    out.at(o, 0, 0) = static_cast<float>(acc) * dequant +
-                      bias_[static_cast<std::size_t>(o)];
+    dst[o] = static_cast<float>(acc) * dequant + bias[o];
   }
 }
 

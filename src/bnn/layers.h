@@ -133,10 +133,25 @@ class BinaryConv2d final : public Layer {
 
 /// 8-bit quantized convolution for the input layer. Weights are stored
 /// as int8 with a single symmetric scale; activations are quantized
-/// dynamically per call.
+/// dynamically per call (std::round(v / scale), clamped to [-127, 127]).
+///
+/// Exactness: every int8 x int8 product is at most 127^2 = 16129, so it
+/// fits int16 exactly, and each output sums receptive_size() of them in
+/// int32. The constructor rejects a kernel whose receptive_size() * 127^2
+/// could exceed int32, so the integer sum is exact and independent of
+/// summation order; dequantization is then one float multiply and one
+/// add per output. The weights are held transposed as [tap][out_channel]
+/// int16 so that one loop over a fixed chunk of output channels
+/// vectorizes in the baseline ISA.
+///
+/// An input holding NaN or +-inf cannot be quantized: forward and
+/// forward_into throw CheckError naming the layer (the check is part of
+/// the scale pass and allocates only when it fails). Non-finite weights
+/// are rejected at construction.
 class Int8Conv2d final : public Layer {
  public:
-  /// Quantizes `weights` symmetrically to int8.
+  /// Quantizes `weights` symmetrically to int8. Throws CheckError when
+  /// receptive_size() * 127^2 exceeds int32 or a weight is not finite.
   Int8Conv2d(std::string name, const WeightTensor& weights,
              std::vector<float> bias, ConvGeometry geometry,
              OpClass op_class = OpClass::kInputLayer);
@@ -160,7 +175,10 @@ class Int8Conv2d final : public Layer {
 
   std::string name_;
   KernelShape shape_;
-  std::vector<std::int8_t> weights_;
+  /// Quantized weights, [tap][out_channel] with each tap's row
+  /// zero-padded to padded_outs_ channels.
+  std::vector<std::int16_t> weights_;
+  std::int64_t padded_outs_ = 0;
   std::vector<float> bias_;
   float weight_scale_ = 1.0f;
   ConvGeometry geometry_;
@@ -168,10 +186,15 @@ class Int8Conv2d final : public Layer {
 };
 
 /// 8-bit quantized fully-connected classifier (the output layer).
-/// Expects a Cx1x1 input.
+/// Expects a Cx1x1 input. Same quantization, exactness bound
+/// (in_features * 127^2 must fit int32, checked at construction) and
+/// non-finite rejection as Int8Conv2d; each output is an int32 dot
+/// product over one contiguous int8 weight row.
 class Int8Linear final : public Layer {
  public:
   /// weights laid out [out][in]; quantized symmetrically to int8.
+  /// Throws CheckError when in_features * 127^2 exceeds int32 or a
+  /// weight is not finite.
   Int8Linear(std::string name, std::int64_t in_features,
              std::int64_t out_features, std::vector<float> weights,
              std::vector<float> bias);

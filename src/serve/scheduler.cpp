@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/check.h"
@@ -13,6 +14,8 @@ const char* to_string(RejectReason reason) {
       return "queue_full";
     case RejectReason::kStopped:
       return "stopped";
+    case RejectReason::kBadInput:
+      return "bad_input";
   }
   unreachable("RejectReason out of range");
 }
@@ -37,6 +40,24 @@ std::future<Tensor> BatchScheduler::submit(ModelHandle model,
                                            Tensor image) {
   check(model != nullptr, "BatchScheduler::submit: null model handle");
   const std::string& name = model->name();
+  // Validate before queueing: classify_batch fails a whole batch when
+  // one image is bad, so an image that would throw must be refused here,
+  // against its own tenant only.
+  const FeatureShape expected = model->engine().model().input_shape();
+  std::string problem;
+  if (image.shape() != expected) {
+    problem = "image shape " + image.shape().to_string() +
+              " does not match the model input " + expected.to_string();
+  } else if (!std::all_of(image.data().begin(), image.data().end(),
+                          [](float v) { return std::isfinite(v); })) {
+    problem = "image holds a NaN or inf pixel";
+  }
+  if (!problem.empty()) {
+    stats_.record_reject(name, tenant);
+    throw RejectError(RejectReason::kBadInput,
+                      "BatchScheduler::submit: " + problem + " (model '" +
+                          name + "', tenant '" + tenant + "')");
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) {
     stats_.record_reject(name, tenant);
@@ -175,8 +196,10 @@ void BatchScheduler::run_batch(std::vector<Request> batch,
       batch[i].promise.set_value(std::move(scores[i]));
     }
   } catch (...) {
-    // A failed batch (e.g. a wrongly shaped image) fails every request
-    // in it with the same exception; the futures stay fulfilled. A
+    // A failed batch fails every request in it with the same
+    // exception; the futures stay fulfilled. submit() refuses the known
+    // per-image causes (shape, non-finite pixels), so this is left for
+    // failures no single request caused. A
     // promise that already received its value keeps it (set_exception
     // on a satisfied promise throws future_error, swallowed here).
     const std::exception_ptr error = std::current_exception();

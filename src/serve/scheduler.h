@@ -50,6 +50,7 @@ namespace bkc::serve {
 enum class RejectReason {
   kQueueFull,  ///< the model's queue is at SchedulerOptions::max_queue
   kStopped,    ///< the scheduler is stopping / stopped
+  kBadInput,   ///< wrong image shape, or a NaN / inf pixel
 };
 
 const char* to_string(RejectReason reason);
@@ -94,9 +95,12 @@ class BatchScheduler {
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
   /// Queue one image for `model` on behalf of `tenant`. Returns the
-  /// future of its class scores. Throws RejectError (kQueueFull) when
-  /// the model's queue is at max_queue, RejectError (kStopped) after
-  /// stop(), and CheckError on a null handle. The handle is pinned by
+  /// future of its class scores. Throws RejectError (kBadInput) when the
+  /// image does not have the model's input shape or holds a NaN / inf
+  /// pixel (checked before queueing, so a bad image never reaches a
+  /// batch it could fail for other tenants), RejectError (kQueueFull)
+  /// when the model's queue is at max_queue, RejectError (kStopped)
+  /// after stop(), and CheckError on a null handle. The handle is pinned by
   /// the queued request until its batch dispatches, so the registry
   /// cannot evict a model with work in flight.
   std::future<Tensor> submit(ModelHandle model, std::string tenant,

@@ -9,8 +9,11 @@
 //                       the codec and hwsim suites
 //   support/streams.h - bit-stream round-trip helpers
 //   support/golden.h  - golden-file comparison utilities
+//   support/int8_reference.h - the pre-rewrite int8 stem/classifier
+//                       loops, the oracle of the int8 head suite
 
 #include "support/configs.h"
 #include "support/golden.h"
+#include "support/int8_reference.h"
 #include "support/kernels.h"
 #include "support/streams.h"

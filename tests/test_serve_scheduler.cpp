@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -185,6 +186,54 @@ TEST_F(ServeSchedulerTest, QueueFullRejectsDeterministically) {
   EXPECT_EQ(stats.total.requests, 6u);
   EXPECT_EQ(stats.total.rejects, 2u);
   EXPECT_EQ(stats.total.dispatched, 6u);
+}
+
+// One tenant's bad image must not fail another tenant's batch: a
+// wrongly shaped or non-finite image is refused at submit, so the batch
+// it would have joined serves the other tenant unchanged.
+TEST_F(ServeSchedulerTest, BadImagesAreRejectedWithoutFailingOtherTenants) {
+  SchedulerOptions options;
+  options.max_batch = 8;
+  options.max_delay = std::chrono::minutes(10);  // one batch, at stop()
+  BatchScheduler scheduler(options);
+
+  const std::vector<Tensor> images = sample_images(3, 41);
+  const std::vector<Tensor> expected =
+      model_->engine().classify_batch(images, 1);
+  const FeatureShape shape = model_->engine().model().input_shape();
+  const Tensor wrong_shape(
+      FeatureShape{shape.channels, shape.height + 1, shape.width});
+  Tensor non_finite = images[1];
+  non_finite.data()[7] = std::numeric_limits<float>::quiet_NaN();
+
+  auto expect_bad_input = [&](const Tensor& image) {
+    try {
+      scheduler.submit(model_, "tenant-b", image);
+      FAIL() << "expected RejectError";
+    } catch (const RejectError& e) {
+      EXPECT_EQ(e.reason(), RejectReason::kBadInput);
+      EXPECT_STREQ(to_string(e.reason()), "bad_input");
+      EXPECT_NE(std::string(e.what()).find("tenant-b"), std::string::npos);
+    }
+  };
+  std::vector<std::future<Tensor>> futures;
+  futures.push_back(scheduler.submit(model_, "tenant-a", images[0]));
+  expect_bad_input(wrong_shape);
+  futures.push_back(scheduler.submit(model_, "tenant-a", images[1]));
+  expect_bad_input(non_finite);
+  futures.push_back(scheduler.submit(model_, "tenant-a", images[2]));
+  scheduler.stop();
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_scores_bit_identical(futures[i].get(), expected[i],
+                                "tenant-a image " + std::to_string(i));
+  }
+  const StatsSnapshot stats = scheduler.stats();
+  EXPECT_EQ(stats.per_tenant.at("tenant-b").rejects, 2u);
+  EXPECT_EQ(stats.per_tenant.at("tenant-b").requests, 0u);
+  EXPECT_EQ(stats.per_tenant.at("tenant-a").rejects, 0u);
+  EXPECT_EQ(stats.per_tenant.at("tenant-a").dispatched, 3u);
+  EXPECT_EQ(stats.total.batches, 1u);
 }
 
 TEST_F(ServeSchedulerTest, SubmitAfterStopRejectsAsStopped) {
