@@ -6,25 +6,6 @@
 
 namespace bkc::bnn {
 
-Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
-                     ConvGeometry geometry) {
-  const FeatureShape in_shape = input.shape();
-  const KernelShape k_shape = kernel.shape();
-  check(in_shape.channels == k_shape.in_channels,
-        "binary_conv2d: channel mismatch (" + in_shape.to_string() + " vs " +
-            k_shape.to_string() + ")");
-  const FeatureShape out_shape = geometry.output_shape(in_shape, k_shape);
-  Tensor out(out_shape);
-  if (input.halo() < geometry.padding) {
-    PackedFeature padded;
-    pack_feature_into(unpack_feature(input), padded, geometry.padding);
-    binary_conv2d_into(padded, kernel, geometry, out);
-  } else {
-    binary_conv2d_into(input, kernel, geometry, out);
-  }
-  return out;
-}
-
 void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out) {
   check(input.shape().channels == kernel.shape().in_channels,
@@ -55,13 +36,6 @@ void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                [&](std::int64_t o_begin, std::int64_t o_end) {
                  fn(input, kernel, geometry, out, o_begin, o_end);
                });
-}
-
-Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
-                     ConvGeometry geometry) {
-  PackedFeature packed;
-  pack_feature_into(input, packed, geometry.padding);
-  return binary_conv2d(packed, kernel, geometry);
 }
 
 std::int64_t binary_conv2d_word_ops(const FeatureShape& input,

@@ -19,38 +19,25 @@
 
 namespace bkc::bnn {
 
-/// Binary convolution returning the integer dot products as floats
-/// (range [-K, K] with K = in_channels * kernel_h * kernel_w).
-/// Works for any kernel size; the paper's models use 3x3 and 1x1.
+/// Binary convolution into caller-provided storage of exactly the
+/// geometry's output shape (CheckError otherwise): the integer dot
+/// products as floats (range [-K, K] with K = in_channels * kernel_h *
+/// kernel_w). Works for any kernel size; the paper's models use 3x3 and
+/// 1x1. `input` must have been packed with halo >= geometry.padding
+/// (CheckError naming both otherwise); the caller owns the pack scratch
+/// (typically the Workspace's, filled via pack_feature_into).
 ///
 /// The per-output-channel loop runs on bkc::current_num_threads()
 /// threads (util/thread_pool.h); results are bit-identical at every
 /// thread count because each output channel is computed independently.
 /// Engine::classify(image, num_threads) is the usual way to set this.
+/// The fan-out goes through parallel_for, which allocates nothing, so
+/// every thread count performs zero heap allocations.
 ///
 /// The inner pixel loop dispatches to the widest kernel the CPU
 /// supports (bnn/bconv_kernels.h: AVX2 today, scalar reference
 /// otherwise); every kernel is bit-identical to the scalar path, and
 /// BKC_FORCE_SCALAR / -DBKC_DISABLE_SIMD pin the reference.
-///
-/// An input whose halo is narrower than the padding is re-packed with a
-/// halo of `geometry.padding` first, so any PackedFeature works here.
-Tensor binary_conv2d(const PackedFeature& input, const PackedKernel& kernel,
-                     ConvGeometry geometry);
-
-/// Convenience wrapper: binarize + pack a float input (with a halo of
-/// `geometry.padding`), then convolve.
-Tensor binary_conv2d(const Tensor& input, const PackedKernel& kernel,
-                     ConvGeometry geometry);
-
-/// Allocation-free core the Tensor-returning overloads wrap: convolve
-/// into caller-provided storage of exactly the geometry's output shape
-/// (CheckError otherwise). `input` must have been packed with
-/// halo >= geometry.padding (CheckError naming both otherwise); the
-/// caller owns the pack scratch (typically the Workspace's, filled via
-/// pack_feature_into). The fan-out goes through parallel_for, which
-/// allocates nothing, so every thread count performs zero heap
-/// allocations.
 void binary_conv2d_into(const PackedFeature& input, const PackedKernel& kernel,
                         ConvGeometry geometry, TensorView out);
 

@@ -125,19 +125,6 @@ void PackedKernel::set_bit(std::int64_t o, std::int64_t i, std::int64_t ky,
   word = value ? (word | mask) : (word & ~mask);
 }
 
-PackedFeature pack_feature(const Tensor& input) {
-  PackedFeature packed(input.shape());
-  const auto& s = input.shape();
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      for (std::int64_t x = 0; x < s.width; ++x) {
-        packed.set_bit(c, y, x, input.at(c, y, x) >= 0.0f ? 1 : 0);
-      }
-    }
-  }
-  return packed;
-}
-
 void pack_feature_into(ConstTensorView input, PackedFeature& out,
                        std::int64_t halo) {
   out.reshape(input.shape(), halo);
@@ -162,50 +149,6 @@ void pack_feature_into(ConstTensorView input, PackedFeature& out,
       }
     }
   }
-}
-
-Tensor unpack_feature(const PackedFeature& packed) {
-  Tensor out(packed.shape());
-  const auto& s = packed.shape();
-  for (std::int64_t c = 0; c < s.channels; ++c) {
-    for (std::int64_t y = 0; y < s.height; ++y) {
-      for (std::int64_t x = 0; x < s.width; ++x) {
-        out.at(c, y, x) = packed.bit(c, y, x) ? 1.0f : -1.0f;
-      }
-    }
-  }
-  return out;
-}
-
-PackedKernel pack_kernel(const WeightTensor& weights) {
-  PackedKernel packed(weights.shape());
-  const auto& k = weights.shape();
-  for (std::int64_t o = 0; o < k.out_channels; ++o) {
-    for (std::int64_t i = 0; i < k.in_channels; ++i) {
-      for (std::int64_t ky = 0; ky < k.kernel_h; ++ky) {
-        for (std::int64_t kx = 0; kx < k.kernel_w; ++kx) {
-          packed.set_bit(o, i, ky, kx,
-                         weights.at(o, i, ky, kx) >= 0.0f ? 1 : 0);
-        }
-      }
-    }
-  }
-  return packed;
-}
-
-WeightTensor unpack_kernel(const PackedKernel& packed) {
-  WeightTensor out(packed.shape());
-  const auto& k = packed.shape();
-  for (std::int64_t o = 0; o < k.out_channels; ++o) {
-    for (std::int64_t i = 0; i < k.in_channels; ++i) {
-      for (std::int64_t ky = 0; ky < k.kernel_h; ++ky) {
-        for (std::int64_t kx = 0; kx < k.kernel_w; ++kx) {
-          out.at(o, i, ky, kx) = packed.bit(o, i, ky, kx) ? 1.0f : -1.0f;
-        }
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace bkc::bnn

@@ -144,29 +144,14 @@ class PackedKernel {
   std::vector<std::uint64_t> words_;
 };
 
-/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map,
-/// without a halo. Reference implementation: one checked set_bit per
-/// element, obviously correct, used as the bit-identity oracle for
-/// pack_feature_into.
-PackedFeature pack_feature(const Tensor& input);
-
-/// Fast pack into caller-provided storage: reshapes `out` to the input
-/// shape with a `halo`-pixel zero rim (no allocation once storage is
-/// reserved) and ORs whole channel planes into the packed words with
-/// one branch-free pass per channel. Every logical pixel is bit-for-bit
-/// identical to pack_feature; the arena-backed forward path packs
-/// through here using the Workspace pack scratch, with halo equal to
-/// the consuming conv's padding.
+/// Binarize (Eq. 1: bit = v >= 0) and channel-pack a float feature map
+/// into caller-provided storage: reshapes `out` to the input shape with
+/// a `halo`-pixel zero rim (no allocation once storage is reserved) and
+/// ORs whole channel planes into the packed words with one branch-free
+/// pass per channel. The forward path packs through here using the
+/// Workspace pack scratch, with halo equal to the consuming conv's
+/// padding.
 void pack_feature_into(ConstTensorView input, PackedFeature& out,
                        std::int64_t halo = 0);
-
-/// Expand a packed feature back to a +/-1-valued float tensor.
-Tensor unpack_feature(const PackedFeature& packed);
-
-/// Binarize and channel-pack float weights (OIHW).
-PackedKernel pack_kernel(const WeightTensor& weights);
-
-/// Expand a packed kernel back to +/-1-valued float weights.
-WeightTensor unpack_kernel(const PackedKernel& packed);
 
 }  // namespace bkc::bnn

@@ -8,7 +8,6 @@
 // input and output layers are quantized to 8 bits (Sec II-B).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,79 +44,40 @@ struct LayerInfo {
   FeatureShape output_shape;
 };
 
-/// Abstract layer: stateless forward over CHW float tensors. Binary
-/// layers binarize internally; the float interface keeps the residual
-/// topology of ReActNet straightforward.
-class Layer {
- public:
-  virtual ~Layer() = default;
-  Layer() = default;
-  Layer(const Layer&) = delete;
-  Layer& operator=(const Layer&) = delete;
-  Layer(Layer&&) = default;
-  Layer& operator=(Layer&&) = default;
+// Every layer runs through one entry point,
+//   void forward_into(ConstTensorView input, TensorView output,
+//                     Workspace& workspace) const;
+// which writes into caller-provided storage of output_shape(input's
+// shape) and draws any temporary storage from `workspace` (the int8
+// quantization scratch from its arena, the binary conv's pack from its
+// pack scratch), so a warm forward allocates nothing. `output` must not
+// alias `input`, except that BatchNorm and RPReLU run in place; the
+// block orchestration relies on that. info() describes the layer for
+// the op-record walk (it builds a name string, so forward paths use
+// output_shape() instead).
 
-  virtual Tensor forward(const Tensor& input) const = 0;
-
-  /// Write forward(input) into `output` (whose shape must match this
-  /// layer's output shape for input's shape), drawing any temporary
-  /// storage from `workspace` — the allocation-free counterpart of
-  /// forward(), bit-identical to it by contract. `output` must not
-  /// alias `input` unless a layer documents in-place support
-  /// (BatchNorm, RPReLU and SignActivation are alias-safe; the block
-  /// orchestration relies on that). The default implementation bridges
-  /// through forward() with a copy so layers outside this file keep
-  /// working unchanged (at legacy allocation cost).
-  virtual void forward_into(ConstTensorView input, TensorView output,
-                            Workspace& workspace) const;
-
-  /// This layer's output shape for an input of `input_shape`, without
-  /// materializing a LayerInfo (info() builds a name string, which the
-  /// zero-allocation orchestrators cannot afford per call). The default
-  /// falls back to info(); every layer in this file overrides it with
-  /// pure shape arithmetic.
-  virtual FeatureShape output_shape(const FeatureShape& input_shape) const;
-
-  virtual LayerInfo info(const FeatureShape& input_shape) const = 0;
-  virtual std::string name() const = 0;
-};
-
-/// Sign activation (Eq. 1): maps every element to +/-1.
-class SignActivation final : public Layer {
- public:
-  Tensor forward(const Tensor& input) const override;
-  void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
-    return input_shape;
-  }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "sign"; }
-};
-
-/// 1-bit convolution (Eq. 2). Holds the channel-packed kernel; forward
-/// binarizes + packs its input (the sign that precedes each binary conv
-/// in ReActNet) and runs the xnor/popcount engine.
-class BinaryConv2d final : public Layer {
+/// 1-bit convolution (Eq. 2). Holds the channel-packed kernel;
+/// forward_into binarizes + packs its input (the sign that precedes
+/// each binary conv in ReActNet) and runs the xnor/popcount engine.
+class BinaryConv2d {
  public:
   BinaryConv2d(std::string name, PackedKernel kernel, ConvGeometry geometry);
 
-  Tensor forward(const Tensor& input) const override;
   /// Packs the input into the workspace's shared pack scratch (caller-
   /// provided storage, no per-call pack allocation) with a halo of
   /// geometry().padding, then convolves into `output`.
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
+                    Workspace& workspace) const;
   /// Convolve an already packed input (halo >= geometry().padding) into
   /// `output`: the entry for callers that feed one pack to several
   /// convs.
   void forward_packed_into(const PackedFeature& input,
                            TensorView output) const;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return geometry_.output_shape(input_shape, kernel_.shape());
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return name_; }
 
   const PackedKernel& kernel() const { return kernel_; }
   /// Replace the kernel (used by the compression pipeline to install
@@ -144,11 +104,11 @@ class BinaryConv2d final : public Layer {
 /// int16 so that one loop over a fixed chunk of output channels
 /// vectorizes in the baseline ISA.
 ///
-/// An input holding NaN or +-inf cannot be quantized: forward and
-/// forward_into throw CheckError naming the layer (the check is part of
+/// An input holding NaN or +-inf cannot be quantized: forward_into
+/// throws CheckError naming the layer (the check is part of
 /// the scale pass and allocates only when it fails). Non-finite weights
 /// are rejected at construction.
-class Int8Conv2d final : public Layer {
+class Int8Conv2d {
  public:
   /// Quantizes `weights` symmetrically to int8. Throws CheckError when
   /// receptive_size() * 127^2 exceeds int32 or a weight is not finite.
@@ -156,23 +116,15 @@ class Int8Conv2d final : public Layer {
              std::vector<float> bias, ConvGeometry geometry,
              OpClass op_class = OpClass::kInputLayer);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return geometry_.output_shape(input_shape, shape_);
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return name_; }
 
  private:
-  /// Shared body of both entry points: quantize into `q_input`
-  /// (caller-provided — a heap vector on the legacy path, arena
-  /// scratch on the planned path) and convolve into `output`. One
-  /// implementation keeps the two paths bit-identical by construction.
-  void forward_impl(ConstTensorView input, TensorView output,
-                    std::span<std::int8_t> q_input) const;
-
   std::string name_;
   KernelShape shape_;
   /// Quantized weights, [tap][out_channel] with each tap's row
@@ -190,7 +142,7 @@ class Int8Conv2d final : public Layer {
 /// (in_features * 127^2 must fit int32, checked at construction) and
 /// non-finite rejection as Int8Conv2d; each output is an int32 dot
 /// product over one contiguous int8 weight row.
-class Int8Linear final : public Layer {
+class Int8Linear {
  public:
   /// weights laid out [out][in]; quantized symmetrically to int8.
   /// Throws CheckError when in_features * 127^2 exceeds int32 or a
@@ -199,20 +151,16 @@ class Int8Linear final : public Layer {
              std::int64_t out_features, std::vector<float> weights,
              std::vector<float> bias);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override;
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const;
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return name_; }
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
 
  private:
-  void forward_impl(ConstTensorView input, TensorView output,
-                    std::span<std::int8_t> q_input) const;
-
   std::string name_;
   std::int64_t in_features_;
   std::int64_t out_features_;
@@ -222,19 +170,18 @@ class Int8Linear final : public Layer {
 };
 
 /// Inference-folded batch normalization: y = scale_c * x + bias_c.
-class BatchNorm final : public Layer {
+class BatchNorm {
  public:
   BatchNorm(std::string name, std::vector<float> scale,
             std::vector<float> bias);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;  // alias-safe
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return input_shape;
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return name_; }
 
  private:
   std::string name_;
@@ -247,19 +194,18 @@ class BatchNorm final : public Layer {
 ///   y = PReLU(x - shift_in_c) + shift_out_c
 /// with PReLU(v) = v > 0 ? v : slope_c * v. (Sec II-B: "the Prelu
 /// activation is biased by shifting and reshaping its input".)
-class RPReLU final : public Layer {
+class RPReLU {
  public:
   RPReLU(std::string name, std::vector<float> shift_in,
          std::vector<float> slope, std::vector<float> shift_out);
 
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;  // alias-safe
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;  // alias-safe
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return input_shape;
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return name_; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return name_; }
 
  private:
   std::string name_;
@@ -269,47 +215,33 @@ class RPReLU final : public Layer {
 };
 
 /// 2x2 stride-2 average pooling (ReActNet's downsampling shortcut).
-class AvgPool2x2 final : public Layer {
+class AvgPool2x2 {
  public:
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return {input_shape.channels, input_shape.height / 2,
             input_shape.width / 2};
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "avgpool2x2"; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return "avgpool2x2"; }
 };
 
 /// Global average pooling to Cx1x1 (before the classifier).
-class GlobalAvgPool final : public Layer {
+class GlobalAvgPool {
  public:
-  Tensor forward(const Tensor& input) const override;
   void forward_into(ConstTensorView input, TensorView output,
-                    Workspace& workspace) const override;
-  FeatureShape output_shape(const FeatureShape& input_shape) const override {
+                    Workspace& workspace) const;
+  FeatureShape output_shape(const FeatureShape& input_shape) const {
     return {input_shape.channels, 1, 1};
   }
-  LayerInfo info(const FeatureShape& input_shape) const override;
-  std::string name() const override { return "global_avgpool"; }
+  LayerInfo info(const FeatureShape& input_shape) const;
+  std::string name() const { return "global_avgpool"; }
 };
 
-/// Element-wise sum of two equally-shaped tensors (residual connection).
-Tensor residual_add(const Tensor& a, const Tensor& b);
-
-/// residual_add writing into caller-provided storage; `out` may alias
-/// `a` (the in-place residual the block orchestration uses).
+/// Element-wise sum of two equally-shaped tensors (the residual
+/// connection); `out` may alias `a` (the in-place residual the block
+/// orchestration uses).
 void residual_add_into(ConstTensorView a, ConstTensorView b, TensorView out);
-
-/// Channel-wise concatenation of two tensors with equal spatial dims.
-Tensor concat_channels(const Tensor& a, const Tensor& b);
-
-/// concat_channels writing into caller-provided storage (no aliasing).
-/// The planned ReActNet path avoids even this copy by pointing the two
-/// 1x1 convs straight at out.channels(...) halves; this exists for
-/// orchestrations that already hold `a` and `b` elsewhere.
-void concat_channels_into(ConstTensorView a, ConstTensorView b,
-                          TensorView out);
 
 }  // namespace bkc::bnn

@@ -17,25 +17,6 @@ std::int64_t float_bytes(std::int64_t count) {
   return aligned(count * static_cast<std::int64_t>(sizeof(float)));
 }
 
-/// activation_floats and pack_words are common to every planner: the
-/// former is the largest activation any op reads or writes, the latter
-/// the largest packed input of any 1-bit conv, halo included (each
-/// conv packs with halo = its padding).
-MemoryPlan common_plan(const std::vector<OpRecord>& records) {
-  MemoryPlan plan;
-  for (const OpRecord& op : records) {
-    plan.activation_floats =
-        std::max({plan.activation_floats, op.input_shape.size(),
-                  op.output_shape.size()});
-    if (op.precision_bits == 1) {
-      plan.pack_words = std::max(
-          plan.pack_words,
-          padded_feature_words(op.input_shape, op.geometry.padding));
-    }
-  }
-  return plan;
-}
-
 /// int8 layers (stem conv, classifier) quantize their whole input into
 /// arena scratch.
 std::int64_t int8_scratch(const OpRecord& op) {
@@ -57,8 +38,19 @@ bool MemoryPlan::covers(const MemoryPlan& other) const {
 }
 
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
-  MemoryPlan plan = common_plan(records);
+  MemoryPlan plan;
   for (const OpRecord& op : records) {
+    // activation_floats is the largest activation any op reads or
+    // writes; pack_words the largest packed input of any 1-bit conv,
+    // halo included (each conv packs with halo = its padding).
+    plan.activation_floats =
+        std::max({plan.activation_floats, op.input_shape.size(),
+                  op.output_shape.size()});
+    if (op.precision_bits == 1) {
+      plan.pack_words = std::max(
+          plan.pack_words,
+          padded_feature_words(op.input_shape, op.geometry.padding));
+    }
     std::int64_t scratch = 0;
     if (op.precision_bits == 8) {
       scratch = int8_scratch(op);
@@ -75,16 +67,6 @@ MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records) {
       }
     }
     plan.scratch_bytes = std::max(plan.scratch_bytes, scratch);
-  }
-  return plan;
-}
-
-MemoryPlan plan_sequential_forward(const std::vector<OpRecord>& records) {
-  MemoryPlan plan = common_plan(records);
-  for (const OpRecord& op : records) {
-    if (op.precision_bits == 8) {
-      plan.scratch_bytes = std::max(plan.scratch_bytes, int8_scratch(op));
-    }
   }
   return plan;
 }

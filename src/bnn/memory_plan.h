@@ -1,16 +1,14 @@
 #pragma once
 // Per-model activation MemoryPlan + per-thread Workspace arenas: the
-// substrate of the zero-allocation forward path.
+// memory of the forward path (ReActNet::forward_into and the layers'
+// forward_into below it).
 //
-// The legacy Layer::forward interface returns a fresh heap Tensor per
-// layer, so one classify performs dozens of allocations. The planned
-// path replaces that with exactly one up-front sizing pass: a
-// MemoryPlan is computed once from the model's op-record walk (the same
-// records that feed Table I and the timing model), and every subsequent
+// A MemoryPlan is computed once from the model's op-record walk (the
+// same records that feed Table I and the timing model), and every
 // forward_into call runs inside a Workspace whose bump Arena was sized
 // to the plan. Steady state performs zero heap allocations — a contract
 // tests pin with a global operator-new counter, and which the plan
-// itself makes checkable: a planned forward pass must drive the arena
+// itself makes checkable: a forward pass must drive the arena
 // high-water mark to *exactly* arena_bytes(), so any drift between the
 // plan arithmetic and the forward path's allocation order is caught as
 // an equality failure (oversized plan) or a CheckError overflow
@@ -72,11 +70,6 @@ struct MemoryPlan {
 /// for the 3x3 conv output (+ stride-2 pooled shortcut), int8
 /// quantization scratch for the stem and classifier.
 MemoryPlan plan_reactnet_forward(const std::vector<OpRecord>& records);
-
-/// Plan for Sequential::forward_into: ping-pong activations, int8
-/// quantization scratch; binary convs pack into the workspace's shared
-/// pack scratch, and the sign→conv fusion never materializes the sign.
-MemoryPlan plan_sequential_forward(const std::vector<OpRecord>& records);
 
 /// One thread's working memory for planned forward passes: the arena
 /// plus the reusable pack scratch. Construction performs all heap

@@ -71,10 +71,10 @@ class Engine {
   /// parallelizes the per-output-channel loop inside each binary
   /// convolution (bnn/bconv.h), cutting single-image latency.
   ///
-  /// Runs the arena-backed forward path: a Workspace is leased from the
+  /// Runs model().forward_into: a Workspace is leased from the
   /// engine's pool (allocated on first use, reused ever after), so
   /// steady-state calls perform no heap allocation beyond the returned
-  /// score tensor. Bit-identical to model().forward(image).
+  /// score tensor.
   Tensor classify(const Tensor& image, int num_threads = 1) const;
 
   /// classify() into caller-provided storage: with a warm `workspace`

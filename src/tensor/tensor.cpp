@@ -1,6 +1,6 @@
 #include "tensor/tensor.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace bkc {
 
@@ -27,25 +27,6 @@ float& Tensor::at(std::int64_t c, std::int64_t y, std::int64_t x) {
 
 float Tensor::at(std::int64_t c, std::int64_t y, std::int64_t x) const {
   return const_cast<Tensor*>(this)->at(c, y, x);
-}
-
-float Tensor::at_padded(std::int64_t c, std::int64_t y, std::int64_t x,
-                        float pad) const {
-  check(c >= 0 && c < shape_.channels, "Tensor::at_padded channel range");
-  if (y < 0 || y >= shape_.height || x < 0 || x >= shape_.width) return pad;
-  return at(c, y, x);
-}
-
-Tensor materialize(ConstTensorView view) {
-  return Tensor(view.shape(),
-                std::vector<float>(view.data().begin(), view.data().end()));
-}
-
-void copy_into(ConstTensorView source, TensorView destination) {
-  check(source.shape() == destination.shape(),
-        "copy_into: source and destination shapes differ");
-  std::copy(source.data().begin(), source.data().end(),
-            destination.data().begin());
 }
 
 WeightTensor::WeightTensor(KernelShape shape)
@@ -76,34 +57,6 @@ float& WeightTensor::at(std::int64_t o, std::int64_t i, std::int64_t ky,
 float WeightTensor::at(std::int64_t o, std::int64_t i, std::int64_t ky,
                        std::int64_t kx) const {
   return const_cast<WeightTensor*>(this)->at(o, i, ky, kx);
-}
-
-Tensor reference_conv2d(const Tensor& input, const WeightTensor& weights,
-                        ConvGeometry geometry, float pad_value) {
-  const FeatureShape out_shape =
-      geometry.output_shape(input.shape(), weights.shape());
-  Tensor out(out_shape);
-  const auto& k = weights.shape();
-  for (std::int64_t o = 0; o < out_shape.channels; ++o) {
-    for (std::int64_t oy = 0; oy < out_shape.height; ++oy) {
-      for (std::int64_t ox = 0; ox < out_shape.width; ++ox) {
-        double acc = 0.0;
-        const std::int64_t base_y = oy * geometry.stride - geometry.padding;
-        const std::int64_t base_x = ox * geometry.stride - geometry.padding;
-        for (std::int64_t i = 0; i < k.in_channels; ++i) {
-          for (std::int64_t ky = 0; ky < k.kernel_h; ++ky) {
-            for (std::int64_t kx = 0; kx < k.kernel_w; ++kx) {
-              const float v =
-                  input.at_padded(i, base_y + ky, base_x + kx, pad_value);
-              acc += static_cast<double>(v) * weights.at(o, i, ky, kx);
-            }
-          }
-        }
-        out.at(o, oy, ox) = static_cast<float>(acc);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace bkc

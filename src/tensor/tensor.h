@@ -33,19 +33,9 @@ class Tensor {
   float& at(std::int64_t c, std::int64_t y, std::int64_t x);
   float at(std::int64_t c, std::int64_t y, std::int64_t x) const;
 
-  /// Value at (c, y, x) treating out-of-bounds spatial coordinates as
-  /// `pad`. Channels must be in range. Used by reference convolutions.
-  float at_padded(std::int64_t c, std::int64_t y, std::int64_t x,
-                  float pad) const;
 
   std::span<float> data() { return data_; }
   std::span<const float> data() const { return data_; }
-
-  /// Apply f to every element in place.
-  template <typename F>
-  void transform(F&& f) {
-    for (float& v : data_) v = f(v);
-  }
 
  private:
   FeatureShape shape_;
@@ -147,14 +137,6 @@ class ConstTensorView {
   std::span<const float> data_;
 };
 
-/// Deep copy of a view's contents into a fresh owning Tensor. The
-/// compatibility wrapper Layer::forward_into uses this to bridge into
-/// the allocating forward() path.
-Tensor materialize(ConstTensorView view);
-
-/// Element-wise copy between views of identical shape.
-void copy_into(ConstTensorView source, TensorView destination);
-
 /// Dense OIHW float weight tensor for reference/full-precision layers.
 class WeightTensor {
  public:
@@ -176,12 +158,5 @@ class WeightTensor {
   KernelShape shape_;
   std::vector<float> data_;
 };
-
-/// Reference (slow, obviously-correct) float convolution. All binary conv
-/// implementations are tested for exact agreement against this on +/-1
-/// tensors. Padding positions contribute `pad_value` (the paper pads
-/// binary convs with -1, see Sec IV-B).
-Tensor reference_conv2d(const Tensor& input, const WeightTensor& weights,
-                        ConvGeometry geometry, float pad_value = -1.0f);
 
 }  // namespace bkc

@@ -9,11 +9,14 @@ namespace bkc::test {
 
 namespace {
 
-/// Symmetric scale so that max |w| maps to 127.
+/// Symmetric scale so that max |w| maps to 127; 1 when max / 127 is 0
+/// (all zero, or only values below about 127 * 2^-149), like the
+/// production layers.
 float symmetric_scale(std::span<const float> values) {
   float max_abs = 0.0f;
   for (float v : values) max_abs = std::max(max_abs, std::abs(v));
-  return max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
+  const float scale = max_abs / 127.0f;
+  return scale > 0.0f ? scale : 1.0f;
 }
 
 std::int8_t quantize_value(float v, float scale) {

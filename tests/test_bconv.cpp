@@ -10,7 +10,6 @@
 
 #include "support/support.h"
 
-#include "bnn/binarize.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -18,8 +17,12 @@
 namespace bkc::bnn {
 namespace {
 
+using test::binary_conv2d;
+using test::pack_feature;
+using test::pack_kernel;
 using test::random_pm1_tensor;
 using test::random_pm1_weights;
+using test::reference_conv2d;
 
 void expect_matches_reference(const FeatureShape& in_shape,
                               const KernelShape& k_shape,
@@ -148,7 +151,7 @@ TEST(BinaryConv, IntoRejectsHaloNarrowerThanPadding) {
     EXPECT_NE(message.find("halo 1"), std::string::npos) << message;
     EXPECT_NE(message.find("padding 2"), std::string::npos) << message;
   }
-  // The allocating overload re-packs with the wider halo instead.
+  // The allocating test form re-packs with the wider halo instead.
   const Tensor expected =
       reference_conv2d(input, weights, geometry, /*pad_value=*/-1.0f);
   const Tensor actual = binary_conv2d(packed, kernel, geometry);

@@ -125,7 +125,7 @@ void seeded_inputs(const ConvCase& c, std::uint64_t seed, Tensor& input,
   input = test::random_pm1_tensor({c.channels, c.height, c.width}, rng);
   const WeightTensor weights = test::random_pm1_weights(
       {c.out_channels, c.channels, c.kernel, c.kernel}, rng);
-  kernel = pack_kernel(weights);
+  kernel = test::pack_kernel(weights);
 }
 
 void expect_bit_identical(const Tensor& a, const Tensor& b,
@@ -179,7 +179,7 @@ void expect_every_kernel_matches_scalar(const ConvCase& c,
   PackedKernel kernel;
   seeded_inputs(c, seed, input, kernel);
   const ConvGeometry geometry{.stride = c.stride, .padding = c.padding};
-  const PackedFeature bare = pack_feature(input);
+  const PackedFeature bare = test::pack_feature(input);
   Tensor reference(geometry.output_shape(bare.shape(), kernel.shape()));
   scalar_conv_kernel().fn(bare, kernel, geometry, reference, 0,
                           c.out_channels);
@@ -238,14 +238,14 @@ TEST(BconvSimd, ActiveDispatchMatchesForcedScalarOnAnchorShapes) {
     Tensor input;
     PackedKernel kernel;
     seeded_inputs(c, 0xA11C40 + c.channels, input, kernel);
-    const PackedFeature feature = pack_feature(input);
+    const PackedFeature feature = test::pack_feature(input);
     const ConvGeometry geometry{.stride = c.stride, .padding = c.padding};
     Tensor forced;
     {
       simd::ScopedForceScalar force;
-      forced = binary_conv2d(feature, kernel, geometry);
+      forced = test::binary_conv2d(feature, kernel, geometry);
     }
-    const Tensor dispatched = binary_conv2d(feature, kernel, geometry);
+    const Tensor dispatched = test::binary_conv2d(feature, kernel, geometry);
     expect_bit_identical(dispatched, forced, c.label());
   }
 }

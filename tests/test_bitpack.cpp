@@ -7,11 +7,17 @@
 #include <cstring>
 
 #include "bnn/kernel_sequences.h"
+#include "support/support.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace bkc::bnn {
 namespace {
+
+using test::pack_feature;
+using test::pack_kernel;
+using test::unpack_feature;
+using test::unpack_kernel;
 
 TEST(Packing, WordsPerGroup) {
   EXPECT_EQ(words_per_group(1), 1);

@@ -1,12 +1,16 @@
-// Checked-in class scores of two seeded models, compared bit for bit.
+// Checked-in class scores of two seeded models, compared bit for bit:
+// the oracle of record for the forward path.
 //
 // The goldens hold every score's IEEE-754 bit pattern as eight hex
 // digits, one line per image. They pin the arithmetic of the whole
 // forward (int8 stem, binary blocks, pooling, int8 classifier) to bytes
 // recorded once, so a rewrite of any loop must reproduce them exactly
-// instead of agreeing only with itself. Both entry points (forward and
-// forward_into) are checked at threads 1/2/4/7. Regenerate with
-// BKC_UPDATE_GOLDEN=1 only when a change of results is intended.
+// instead of agreeing only with itself. The bytes are checked three
+// ways: ReActNet::forward_into at threads 1/2/4/7, forward_into with the
+// scalar conv kernel forced, and Engine::classify_batch (the path the
+// serve scheduler and the end-to-end benchmark run) at threads 1/2/4/7.
+// Regenerate with BKC_UPDATE_GOLDEN=1 only when a change of results is
+// intended.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +23,9 @@
 #include "bnn/memory_plan.h"
 #include "bnn/reactnet.h"
 #include "bnn/weights.h"
+#include "core/engine.h"
 #include "support/support.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace bkc {
@@ -62,13 +68,6 @@ std::string render(const std::vector<Tensor>& scores) {
   return out;
 }
 
-std::vector<Tensor> run_forward(const bnn::ReActNet& model,
-                                const std::vector<Tensor>& images) {
-  std::vector<Tensor> scores;
-  for (const Tensor& image : images) scores.push_back(model.forward(image));
-  return scores;
-}
-
 std::vector<Tensor> run_forward_into(const bnn::ReActNet& model,
                                      const std::vector<Tensor>& images) {
   bnn::Workspace workspace(model.memory_plan());
@@ -83,16 +82,24 @@ std::vector<Tensor> run_forward_into(const bnn::ReActNet& model,
 
 void expect_scores_match_golden(const bnn::ReActNetConfig& config,
                                 const std::string& golden) {
-  const bnn::ReActNet model(config);
+  const Engine engine(config);
+  const bnn::ReActNet& model = engine.model();
   const std::vector<Tensor> images = golden_images(model, 1234);
-  const std::string reference = render(run_forward_into(model, images));
-  test::expect_matches_golden(golden, reference);
+  test::expect_matches_golden(golden, render(run_forward_into(model, images)));
+  const std::string expected = test::read_golden(golden);
+  {
+    simd::ScopedForceScalar force;
+    EXPECT_EQ(render(run_forward_into(model, images)), expected)
+        << golden << " forward_into, scalar kernel forced";
+  }
   for (const int threads : kThreadCounts) {
-    ScopedNumThreads scoped(threads);
-    EXPECT_EQ(render(run_forward(model, images)), reference)
-        << golden << " forward, threads " << threads;
-    EXPECT_EQ(render(run_forward_into(model, images)), reference)
-        << golden << " forward_into, threads " << threads;
+    {
+      ScopedNumThreads scoped(threads);
+      EXPECT_EQ(render(run_forward_into(model, images)), expected)
+          << golden << " forward_into, threads " << threads;
+    }
+    EXPECT_EQ(render(engine.classify_batch(images, threads)), expected)
+        << golden << " classify_batch, threads " << threads;
   }
 }
 

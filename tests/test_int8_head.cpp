@@ -1,6 +1,6 @@
 // The int8 stem and classifier (bnn::Int8Conv2d, bnn::Int8Linear)
 // against the loops they replaced (support/int8_reference.h), byte for
-// byte, through both forward() and forward_into().
+// byte, through forward_into.
 //
 // The production layers sum int16 products in int32 and walk output
 // channels in fixed chunks; the reference sums in int64, one output at
@@ -11,7 +11,8 @@
 // paddings and kernel sizes the loops branch on, and inputs that hit the
 // rounding and clamping edges: all zero, exact .5 ties, elements at
 // +-max and a single non-zero. Also covered: the int32 exactness bound
-// the constructors enforce, and the rejection of NaN / inf input.
+// the constructors enforce, the rejection of NaN / inf input, and input
+// so small that its scale would underflow to zero.
 
 #include <gtest/gtest.h>
 
@@ -154,15 +155,13 @@ void expect_bytes_equal(const Tensor& actual, const Tensor& expected,
       << context;
 }
 
-/// forward() and forward_into() of `layer` against the oracle's bytes;
-/// forward_into must leave the arena mark where it found it.
-template <typename Oracle>
+/// forward_into of `layer` against the oracle's bytes; it must leave
+/// the arena mark where it found it.
+template <typename Layer, typename Oracle>
 void expect_matches_oracle(const Layer& layer, const Oracle& oracle,
                            const Tensor& input, Workspace& workspace,
                            const std::string& context) {
   const Tensor expected = oracle.forward(input);
-  expect_bytes_equal(layer.forward(input), expected, context + " forward");
-
   Arena& arena = workspace.arena();
   arena.allocate_span<float>(3);  // a live allocation below the layer's
   const std::size_t mark = arena.mark();
@@ -171,7 +170,7 @@ void expect_matches_oracle(const Layer& layer, const Oracle& oracle,
   layer.forward_into(input, out, workspace);
   EXPECT_EQ(arena.mark(), mark) << context;
   arena.reset();
-  expect_bytes_equal(out, expected, context + " forward_into");
+  expect_bytes_equal(out, expected, context);
 }
 
 TEST(Int8Head, ConvMatchesOracleOverShapesAndInputs) {
@@ -280,20 +279,19 @@ const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity(),
                             -std::numeric_limits<float>::infinity()};
 
-/// Both entry points of `layer` must refuse `input` with a message
-/// naming the layer and the problem.
+/// `layer` must refuse `input` with a message naming the layer and the
+/// problem.
+template <typename Layer>
 void expect_rejects_non_finite(const Layer& layer, const Tensor& input,
                                const std::string& context) {
   Workspace workspace = sweep_workspace();
   Tensor out(layer.output_shape(input.shape()));
-  for (const std::string& message :
-       {message_of([&] { (void)layer.forward(input); }),
-        message_of([&] { layer.forward_into(input, out, workspace); })}) {
-    EXPECT_NE(message.find(layer.name()), std::string::npos)
-        << context << ": " << message;
-    EXPECT_NE(message.find("non-finite input activation"), std::string::npos)
-        << context << ": " << message;
-  }
+  const std::string message =
+      message_of([&] { layer.forward_into(input, out, workspace); });
+  EXPECT_NE(message.find(layer.name()), std::string::npos)
+      << context << ": " << message;
+  EXPECT_NE(message.find("non-finite input activation"), std::string::npos)
+      << context << ": " << message;
 }
 
 TEST(Int8Head, StemRejectsNonFiniteInput) {
@@ -317,6 +315,55 @@ TEST(Int8Head, ClassifierRejectsNonFiniteInput) {
     input.data()[15] = bad;
     expect_rejects_non_finite(fc, input, std::to_string(bad));
   }
+}
+
+/// `out` must be finite and equal to `bias`, byte for byte.
+void expect_bias_only(const Tensor& out, const std::vector<float>& bias,
+                      const std::string& context) {
+  ASSERT_EQ(out.data().size() % bias.size(), 0u) << context;
+  const std::size_t plane = out.data().size() / bias.size();
+  for (std::size_t i = 0; i < out.data().size(); ++i) {
+    const float v = out.data()[i];
+    EXPECT_TRUE(std::isfinite(v)) << context << " at " << i;
+    EXPECT_EQ(std::memcmp(&v, &bias[i / plane], sizeof(float)), 0)
+        << context << " at " << i << ": " << v;
+  }
+}
+
+TEST(Int8Head, StemOnSubnormalOnlyInputGivesBias) {
+  // 1e-45f rounds to the smallest subnormal, 2^-149: max / 127
+  // underflows to 0, and a zero scale would quantize every 0 as 0 / 0 =
+  // NaN and cast that to int8. The scale is 1 instead, every code is 0,
+  // and the output is the bias alone.
+  WeightGenerator gen(13);
+  const WeightTensor w = gen.sample_float_weights({4, 3, 3, 3}, 0.5f);
+  const std::vector<float> bias = gen.sample_floats(4, 0.05f);
+  const Int8Conv2d stem("stem", w, bias, {2, 1});
+  Tensor input(FeatureShape{3, 8, 8});
+  input.data()[17] = 1e-45f;
+  Workspace workspace = sweep_workspace();
+  Tensor out(stem.output_shape(input.shape()));
+  stem.forward_into(input, out, workspace);
+  expect_bias_only(out, bias, "stem");
+  expect_bytes_equal(
+      out, test::ReferenceInt8Conv2d(w, bias, {2, 1}).forward(input),
+      "stem oracle");
+}
+
+TEST(Int8Head, ClassifierOnSubnormalOnlyInputGivesBias) {
+  WeightGenerator gen(14);
+  const std::vector<float> w = gen.sample_floats(16 * 5, 0.05f);
+  const std::vector<float> bias = gen.sample_floats(5, 0.01f);
+  const Int8Linear fc("classifier", 16, 5, w, bias);
+  Tensor input(FeatureShape{16, 1, 1});
+  input.data()[9] = -1e-45f;
+  Workspace workspace = sweep_workspace();
+  Tensor out(fc.output_shape(input.shape()));
+  fc.forward_into(input, out, workspace);
+  expect_bias_only(out, bias, "classifier");
+  expect_bytes_equal(
+      out, test::ReferenceInt8Linear(16, 5, w, bias).forward(input),
+      "classifier oracle");
 }
 
 TEST(Int8Head, ConstructorsRejectNonFiniteWeights) {

@@ -1,9 +1,9 @@
 // Tests for the zero-allocation substrate: the bump Arena, the
-// MemoryPlan arithmetic, Workspace / WorkspacePool, and the planned
-// forward path's two load-bearing contracts — bit-identity with the
-// legacy allocating path, and EXACT high-water equality with the plan
-// (an undersized plan overflows as CheckError, an oversized one fails
-// the equality).
+// MemoryPlan arithmetic, Workspace / WorkspacePool, and the forward
+// path's load-bearing contracts — the same bytes whatever workspace
+// runs it (reused, fresh or oversized), and EXACT high-water equality
+// with the plan (an undersized plan overflows as CheckError, an
+// oversized one fails the equality).
 
 #include "bnn/memory_plan.h"
 
@@ -130,13 +130,17 @@ TEST(WorkspacePool, ReusesReleasedWorkspaces) {
   EXPECT_EQ(pool.idle_count(), 2u);
 }
 
-TEST(ReActNetPlan, ForwardIntoMatchesForwardBitExactly) {
+TEST(ReActNetPlan, ReusedWorkspaceMatchesFreshWorkspaceBitExactly) {
+  // One workspace carried across images (the arena reset and refilled,
+  // the pack scratch reshaped in place) must give the same bytes as a
+  // fresh workspace per image: nothing a pass leaves behind may reach
+  // the next pass's scores.
   const ReActNet model(test::tiny_config(41));
   Workspace workspace(model.memory_plan());
   WeightGenerator gen(9);
   for (int i = 0; i < 3; ++i) {
     const Tensor image = gen.sample_activation(model.input_shape());
-    const Tensor expected = model.forward(image);
+    const Tensor expected = test::forward(model, image);
     Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
     model.forward_into(image, scores, workspace);
     ASSERT_EQ(scores.shape(), expected.shape());
@@ -200,7 +204,7 @@ TEST(ReActNetPlan, OversizedWorkspaceRunsFine) {
   const Tensor image = gen.sample_activation(model.input_shape());
   Tensor scores(FeatureShape{model.config().num_classes, 1, 1});
   model.forward_into(image, scores, workspace);
-  const Tensor expected = model.forward(image);
+  const Tensor expected = test::forward(model, image);
   EXPECT_EQ(std::memcmp(scores.data().data(), expected.data().data(),
                         expected.data().size_bytes()),
             0);

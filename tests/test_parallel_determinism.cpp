@@ -120,22 +120,27 @@ TEST_P(ParallelDeterminism, ParallelConvClassifyMatchesSerial) {
   }
 }
 
-TEST_P(ParallelDeterminism, WorkspacePathMatchesLegacyForwardAtEveryCount) {
-  // The arena-backed forward path (classify / classify_into over a
-  // Workspace) against the legacy allocating path (model().forward),
-  // across the full thread matrix and with clustering on and off: the
-  // memory plan must never change a single bit of any score.
+TEST_P(ParallelDeterminism, WorkspacePathMatchesForcedScalarAtEveryCount) {
+  // The forward path (classify / classify_into over a Workspace)
+  // against the same path with the scalar conv kernel pinned, across
+  // the full thread matrix and with clustering on and off: neither the
+  // memory plan nor the kernel dispatch may change a single bit of any
+  // score.
   Engine engine(test::tiny_config(39), options_for(GetParam()));
   engine.compress();
   const auto images = test_images(engine.model(), 3, 83);
   bnn::Workspace workspace = engine.make_workspace();
   for (const Tensor& image : images) {
-    const Tensor legacy = engine.model().forward(image);
+    Tensor scalar;
+    {
+      simd::ScopedForceScalar force;
+      scalar = test::forward(engine.model(), image);
+    }
     for (int threads : kThreadCounts) {
-      expect_bit_identical(engine.classify(image, threads), legacy);
+      expect_bit_identical(engine.classify(image, threads), scalar);
       Tensor scores;
       engine.classify_into(image, scores, workspace, threads);
-      expect_bit_identical(scores, legacy);
+      expect_bit_identical(scores, scalar);
     }
   }
   // The reused workspace's peak is exactly the plan — at every thread

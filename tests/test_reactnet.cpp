@@ -38,7 +38,7 @@ TEST(BasicBlock, NonExpandingForwardShape) {
   WeightGenerator gen(3);
   const SequenceDistribution dist = SequenceDistribution::uniform();
   BasicBlock block("b", {16, 16, 1}, gen, dist);
-  const Tensor out = block.forward(gen.sample_activation({16, 8, 8}));
+  const Tensor out = test::forward(block, gen.sample_activation({16, 8, 8}));
   EXPECT_EQ(out.shape(), (FeatureShape{16, 8, 8}));
   EXPECT_EQ(block.conv1x1s().size(), 1u);
 }
@@ -47,7 +47,7 @@ TEST(BasicBlock, ExpandingStride2ForwardShape) {
   WeightGenerator gen(5);
   const SequenceDistribution dist = SequenceDistribution::uniform();
   BasicBlock block("b", {16, 32, 2}, gen, dist);
-  const Tensor out = block.forward(gen.sample_activation({16, 8, 8}));
+  const Tensor out = test::forward(block, gen.sample_activation({16, 8, 8}));
   EXPECT_EQ(out.shape(), (FeatureShape{32, 4, 4}));
   EXPECT_EQ(block.conv1x1s().size(), 2u);  // channel duplication
   EXPECT_EQ(block.output_shape({16, 8, 8}), (FeatureShape{32, 4, 4}));
@@ -70,10 +70,9 @@ TEST(BasicBlock, Conv3x3IsInToIn) {
 
 TEST(ReActNet, TinyForwardRuns) {
   const ReActNet model(test::tiny_config(21));
-  Tensor image(model.input_shape());
   WeightGenerator gen(22);
-  image = gen.sample_activation(model.input_shape());
-  const Tensor scores = model.forward(image);
+  const Tensor image = gen.sample_activation(model.input_shape());
+  const Tensor scores = test::forward(model, image);
   EXPECT_EQ(scores.shape(), (FeatureShape{10, 1, 1}));
   // Scores should not be all equal (the network is doing something).
   float lo = scores.data()[0];
@@ -89,8 +88,8 @@ TEST(ReActNet, ForwardIsDeterministic) {
   const ReActNet model(test::tiny_config(33));
   WeightGenerator gen(34);
   const Tensor image = gen.sample_activation(model.input_shape());
-  const Tensor a = model.forward(image);
-  const Tensor b = model.forward(image);
+  const Tensor a = test::forward(model, image);
+  const Tensor b = test::forward(model, image);
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
@@ -108,7 +107,7 @@ TEST(ReActNet, SameSeedSameModel) {
 TEST(ReActNet, WrongInputShapeThrows) {
   const ReActNet model(test::tiny_config(42));
   Tensor bad(FeatureShape{3, 16, 16});
-  EXPECT_THROW(model.forward(bad), CheckError);
+  EXPECT_THROW(test::forward(model, bad), CheckError);
 }
 
 TEST(ReActNet, PaperStorageBreakdownMatchesTableI) {

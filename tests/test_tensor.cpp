@@ -1,13 +1,17 @@
-// Tests for the dense tensor substrate and the reference convolution.
+// Tests for the dense tensor substrate and the reference convolution
+// (tests/support/bnn_reference.h).
 
 #include "tensor/tensor.h"
 
 #include <gtest/gtest.h>
 
+#include "support/support.h"
 #include "util/check.h"
 
 namespace bkc {
 namespace {
+
+using test::reference_conv2d;
 
 TEST(Shapes, FeatureShapeSize) {
   const FeatureShape s{3, 4, 5};
@@ -49,14 +53,6 @@ TEST(Tensor, OutOfRangeThrows) {
   EXPECT_THROW(t.at(2, 0, 0), CheckError);
   EXPECT_THROW(t.at(0, 3, 0), CheckError);
   EXPECT_THROW(t.at(0, 0, 4), CheckError);
-}
-
-TEST(Tensor, PaddedAccess) {
-  Tensor t(FeatureShape{1, 2, 2});
-  t.at(0, 0, 0) = 5.0f;
-  EXPECT_FLOAT_EQ(t.at_padded(0, -1, 0, -1.0f), -1.0f);
-  EXPECT_FLOAT_EQ(t.at_padded(0, 0, 0, -1.0f), 5.0f);
-  EXPECT_FLOAT_EQ(t.at_padded(0, 2, 2, 0.5f), 0.5f);
 }
 
 TEST(Tensor, DataSizeMismatchThrows) {
